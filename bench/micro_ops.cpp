@@ -1,8 +1,10 @@
 // google-benchmark micro suite for the substrate primitives: fp16
-// conversion, cache-model lookups, the octet MMA, warp loads, and the
-// benchmark generators.  These measure the SIMULATOR's own speed
+// conversion, cache-model lookups, the octet MMA, warp memory spans,
+// and the benchmark generators.  These measure the SIMULATOR's own speed
 // (host wall-clock), complementing the model-cycle figure benches.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
@@ -80,36 +82,8 @@ void BM_MmaM8n8k4(benchmark::State& state) {
 }
 BENCHMARK(BM_MmaM8n8k4);
 
-void BM_WarpLdg128(benchmark::State& state) {
-  gpusim::DeviceConfig cfg;
-  cfg.dram_capacity = 16 << 20;
-  gpusim::Device dev(cfg);
-  auto buf = dev.alloc<half8>(64 << 10);
-  gpusim::LaunchConfig lcfg;
-  Rng rng(4);
-  for (auto _ : state) {
-    gpusim::launch(dev, lcfg, [&](gpusim::Cta& cta) {
-      gpusim::Warp w = cta.warp(0);
-      gpusim::AddrLanes addr;
-      gpusim::Lanes<half8> dst;
-      for (int rep = 0; rep < 64; ++rep) {
-        const auto base = rng.uniform_u64(buf.size() - 32);
-        for (int lane = 0; lane < 32; ++lane) {
-          addr[static_cast<std::size_t>(lane)] =
-              buf.addr(base + static_cast<std::size_t>(lane));
-        }
-        w.ldg(addr, dst);
-      }
-      benchmark::DoNotOptimize(dst);
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_WarpLdg128);
-
-// Per-span-op rows (DESIGN.md §2h): same logical accesses as the
-// per-lane BM_WarpLdg128 above but stated as span descriptors, so the
-// trajectory artifact shows what the fast path buys per op shape.
+// Per-span-op rows (DESIGN.md §2h): one row per span shape, so the
+// trajectory artifact shows what each op shape costs.
 
 void BM_SpanLdgUniform(benchmark::State& state) {
   gpusim::DeviceConfig cfg;
@@ -216,6 +190,60 @@ void BM_SpanSmemRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_SpanSmemRoundTrip);
+
+// Divergent rows: 32 one-lane segments, the form every genuinely
+// divergent access takes — random LDG.128 gathers, and the clamped
+// small-block LDS of spmm_blocked_ell (block 4: rows and columns clamp
+// into the 4x4 block, so lanes collide on words and banks).
+
+void BM_SpanLdgGather128(benchmark::State& state) {
+  gpusim::DeviceConfig cfg;
+  cfg.dram_capacity = 16 << 20;
+  gpusim::Device dev(cfg);
+  auto buf = dev.alloc<half8>(64 << 10);
+  gpusim::LaunchConfig lcfg;
+  Rng rng(4);
+  for (auto _ : state) {
+    gpusim::launch(dev, lcfg, [&](gpusim::Cta& cta) {
+      gpusim::Warp w = cta.warp(0);
+      gpusim::AddrLanes addr;
+      gpusim::Lanes<half8> dst;
+      for (int rep = 0; rep < 64; ++rep) {
+        for (auto& a : addr) a = buf.addr(rng.uniform_u64(buf.size()));
+        w.ldg_span(addr.data(), 32, 1, 0, dst);
+      }
+      benchmark::DoNotOptimize(dst);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_SpanLdgGather128);
+
+void BM_SpanLdsClamped(benchmark::State& state) {
+  gpusim::DeviceConfig cfg;
+  cfg.dram_capacity = 1 << 20;
+  gpusim::Device dev(cfg);
+  gpusim::LaunchConfig lcfg;
+  lcfg.smem_bytes = 1024;
+  constexpr int kBlk = 4;
+  gpusim::Lanes<std::uint32_t> off;
+  for (int lane = 0; lane < 32; ++lane) {
+    const int r = std::min(lane / 4, kBlk - 1);
+    const int cc = std::min(4 * (lane % 4), kBlk - 1);
+    off[static_cast<std::size_t>(lane)] =
+        static_cast<std::uint32_t>((r * kBlk + cc) * 2);
+  }
+  for (auto _ : state) {
+    gpusim::launch(dev, lcfg, [&](gpusim::Cta& cta) {
+      gpusim::Warp w = cta.warp(0);
+      gpusim::Lanes<half4> d;
+      for (int rep = 0; rep < 64; ++rep) w.lds_span(off.data(), 32, 1, 0, d);
+      benchmark::DoNotOptimize(d);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_SpanLdsClamped);
 
 void BM_MakeCvs(benchmark::State& state) {
   Rng rng(5);

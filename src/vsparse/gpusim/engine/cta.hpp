@@ -1,5 +1,5 @@
 // CTA/warp execution contexts — the handles kernel bodies are written
-// against.  The warp-op template bodies (ldg/stg/lds/sts/shfl) live in
+// against.  The warp-op template bodies (memory spans, shfl) live in
 // warp_ops.hpp so they stay header-only for inlining into kernels.
 #pragma once
 
@@ -33,34 +33,19 @@ struct MmaFlags {
 ///
 /// ## Address-pattern contract (uniform / affine / divergent)
 ///
-/// Every memory op exists in two forms with identical observable
-/// behavior (data movement, counters, trace events, sanitizer reports,
-/// fault injection):
-///
-///  * **per-lane** (`ldg`/`stg`/`lds`/`sts`): the kernel materializes a
-///    32-entry address array.  This is the fully general *divergent*
-///    form — any lane may point anywhere — and the engine pays one
-///    address translation, one bounds check, and one sector/bank
-///    dedup step per active lane.
-///  * **span** (`ldg_span`/`stg_span`/`lds_span`/`sts_span`): the
-///    kernel *states* the pattern as segments of an affine sequence:
-///    lanes split into `segs` consecutive segments of `width` lanes
-///    each (`segs * width <= 32`), and lane `l = seg*width + t`
-///    addresses `seg_base[seg] + t*stride`.  *Uniform* is `stride == 0`;
-///    pure *affine* is one segment.  The engine services each segment
-///    with one hull translation / bounds check and closed-form (or
-///    compare-with-previous) sector and bank-conflict accounting —
-///    O(segs) consultations instead of O(32).
-///
-/// Span ops are counter- and bit-exact with their per-lane forms by
-/// construction (DESIGN.md §2h gives the equivalence argument), and
-/// they *self-divert*: when a sanitizer or fault plan is attached — or
-/// a shared-memory hull check fails and per-lane reporting is owed —
-/// the span op expands its descriptor into lane arrays and runs the
-/// per-lane path, so the slow diagnostic surfaces see exactly the
-/// per-lane access sequence.  Kernels should state patterns with span
-/// ops and reserve hand-built lane arrays for genuinely divergent
-/// accesses.
+/// There is one op per memory kind — `ldg_span`/`stg_span` for global,
+/// `lds_span`/`sts_span` for shared — and the kernel *states* the
+/// warp's address pattern as segments of an affine sequence: lanes
+/// split into `segs` consecutive segments of `width` lanes each
+/// (`segs * width <= 32`), and lane `l = seg*width + t` addresses
+/// `seg_base[seg] + t*stride`.  *Uniform* is `stride == 0`; pure
+/// *affine* is one segment; a genuinely *divergent* access is 32
+/// one-lane segments (`seg_base = addr.data(), segs = 32, width = 1`).
+/// The engine services each segment with one hull translation / bounds
+/// check and closed-form (or compare-with-previous) sector and
+/// bank-conflict accounting — O(segs) consultations — and one-lane
+/// segments lane by lane.  Fault hooks and the sanitizer consume the
+/// same descriptor (DESIGN.md §2h).
 class Warp {
  public:
   Warp(Cta* cta, int warp_id) : cta_(cta), warp_id_(warp_id) {}
@@ -72,34 +57,11 @@ class Warp {
   /// Placed where the corresponding CUDA kernel would execute them.
   void count(Op op, std::uint64_t n = 1);
 
-  /// Global load: each active lane reads a naturally-aligned value of
-  /// type V from its device address.  sizeof(V) in {2,4,8,16} selects
-  /// LDG.{16,32,64,128}.  Coalescing (unique 32 B sectors across the
-  /// warp) is measured, then the L1 (this SM) and L2 models are walked.
-  template <class V>
-  void ldg(const AddrLanes& addr, Lanes<V>& dst,
-           std::uint32_t mask = kFullMask);
-
-  /// Global store: write-through to DRAM via L2; L1 bypassed (Volta
-  /// global stores do not allocate in L1).
-  template <class V>
-  void stg(const AddrLanes& addr, const Lanes<V>& src,
-           std::uint32_t mask = kFullMask);
-
-  /// Shared-memory load/store; `off` are byte offsets into CTA smem.
-  /// Bank conflicts (32 banks x 4 B) expand into extra wavefronts.
-  template <class V>
-  void lds(const Lanes<std::uint32_t>& off, Lanes<V>& dst,
-           std::uint32_t mask = kFullMask);
-  template <class V>
-  void sts(const Lanes<std::uint32_t>& off, const Lanes<V>& src,
-           std::uint32_t mask = kFullMask);
-
-  /// Span global load: lane `l = seg*width + t` (t < width, seg < segs)
-  /// reads sizeof(V) bytes from `seg_base[seg] + t*stride`.  One hull
-  /// translation and one monotone sector walk per segment replace the 32
-  /// per-lane ones; counters match `ldg` on the expanded addresses
-  /// bit-for-bit (see the class comment for the full contract).
+  /// Global load: lane `l = seg*width + t` (t < width, seg < segs)
+  /// reads a naturally-aligned value of type V from `seg_base[seg] +
+  /// t*stride`.  sizeof(V) in {2,4,8,16} selects LDG.{16,32,64,128}.
+  /// Coalescing (unique 32 B sectors across the warp) is measured, then
+  /// the L1 (this SM) and L2 models are walked.
   template <class V>
   void ldg_span(const std::uint64_t* seg_base, int segs, int width,
                 std::uint32_t stride, Lanes<V>& dst,
@@ -111,8 +73,9 @@ class Warp {
   void ldg_span(std::uint64_t base, std::uint32_t stride, Lanes<V>& dst,
                 std::uint32_t mask = kFullMask);
 
-  /// Span global store (write-through, same pattern grammar as
-  /// ldg_span).
+  /// Global store (same pattern grammar as ldg_span): write-through to
+  /// DRAM via L2; L1 bypassed (Volta global stores do not allocate in
+  /// L1).
   template <class V>
   void stg_span(const std::uint64_t* seg_base, int segs, int width,
                 std::uint32_t stride, const Lanes<V>& src,
@@ -123,11 +86,11 @@ class Warp {
   void stg_span(std::uint64_t base, std::uint32_t stride, const Lanes<V>& src,
                 std::uint32_t mask = kFullMask);
 
-  /// Span shared-memory load: lane `l = seg*width + t` reads from byte
-  /// offset `seg_off[seg] + t*stride`.  One hull bounds check per
-  /// segment; the bank-conflict degree is computed in closed form for
-  /// full-mask affine/repeated patterns and by the per-lane scan
-  /// otherwise — identical to `lds` either way.
+  /// Shared-memory load: lane `l = seg*width + t` reads from byte
+  /// offset `seg_off[seg] + t*stride` into CTA smem.  One bounds check
+  /// per segment; bank conflicts (32 banks x 4 B) expand into extra
+  /// wavefronts, computed in closed form for full-mask affine/repeated
+  /// patterns and by a scan of the distinct words otherwise.
   template <class V>
   void lds_span(const std::uint32_t* seg_off, int segs, int width,
                 std::uint32_t stride, Lanes<V>& dst,
@@ -138,7 +101,7 @@ class Warp {
   void lds_span(std::uint32_t off, std::uint32_t stride, Lanes<V>& dst,
                 std::uint32_t mask = kFullMask);
 
-  /// Span shared-memory store.
+  /// Shared-memory store (same pattern grammar as lds_span).
   template <class V>
   void sts_span(const std::uint32_t* seg_off, int segs, int width,
                 std::uint32_t stride, const Lanes<V>& src,

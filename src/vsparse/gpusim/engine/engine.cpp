@@ -7,7 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "vsparse/gpusim/engine/launch.hpp"
 #include "vsparse/gpusim/engine/sm_context.hpp"
 #include "vsparse/gpusim/faults.hpp"
 #include "vsparse/gpusim/sanitizer/shadow.hpp"
@@ -145,15 +144,6 @@ void check_device_serviceable(const Device& dev) {
 
 std::uint64_t total_simulated_ctas() {
   return g_total_ctas.load(std::memory_order_relaxed);
-}
-
-KernelStats run_launch(Device& dev, const LaunchConfig& cfg,
-                       const std::function<void(Cta&)>& body,
-                       const SimOptions& opts) {
-  // Compatibility form: instantiate the devirtualized engine once for
-  // std::function bodies.  New code should go through launch() so the
-  // body inlines into the CTA loop.
-  return run_launch_direct(dev, cfg, body, opts);
 }
 
 }  // namespace vsparse::gpusim

@@ -1,5 +1,4 @@
-// Launch-boundary engine pieces: the type-erased run_launch
-// compatibility entry, the process-wide CTA counter, and the
+// Launch-boundary engine pieces: the process-wide CTA counter and the
 // engine_detail helpers (trace/sanitizer merge, error augmentation)
 // that the devirtualized `run_launch_direct<Body>` template in
 // launch.hpp calls.  The hot per-CTA loop lives in that template so
@@ -8,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "vsparse/gpusim/device.hpp"
@@ -25,21 +23,6 @@ class SmSanitizer;
 struct SanitizerOptions;
 class Trace;
 class Sanitizer;
-
-/// Execute `body` once per CTA of the launch, distributing SMs across
-/// host threads per `opts` (threads == 0 inherits the Device default),
-/// and return the merged hardware counters.  The first exception thrown
-/// by any CTA body is rethrown on the calling thread after the join.
-///
-/// This is the type-erased compatibility form.  The hot path is the
-/// devirtualized `run_launch_direct<Body>` template (engine/launch.hpp)
-/// that `launch()` — and through it every registry launch thunk
-/// (kernels/registry.hpp) — instantiates per kernel, so each kernel's
-/// CTA loop is a direct, inlinable call instead of a std::function
-/// dispatch.
-KernelStats run_launch(Device& dev, const LaunchConfig& cfg,
-                       const std::function<void(Cta&)>& body,
-                       const SimOptions& opts);
 
 /// Process-wide count of CTAs simulated since program start, across
 /// all devices and launches.  Benches snapshot it to report simulator

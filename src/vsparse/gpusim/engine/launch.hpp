@@ -4,9 +4,9 @@
 // `Warp` contexts, mirroring the structure of the paper's CUDA kernels:
 //
 //   launch(dev, cfg, [&](Cta& cta) {
-//     Lanes<std::uint64_t> addr; Lanes<half4> frag;
-//     ...compute per-lane addresses like the CUDA kernel would...
-//     cta.warp(0).ldg(addr, frag);          // coalescing is *measured*
+//     Lanes<half4> frag;
+//     ...state the warp's address pattern like the CUDA kernel would...
+//     cta.warp(0).ldg_span(base, 8, frag);  // coalescing is *measured*
 //     mma_m8n8k4(cta.warp(0), a, b, acc);   // octet-level tensor core
 //   });
 //

@@ -18,22 +18,6 @@ namespace vsparse::gpusim {
 
 namespace detail {
 
-/// Expand a segmented-affine span descriptor into per-lane addresses —
-/// the divergent form — for the span ops' fallback path.  Lanes beyond
-/// segs*width keep their zero-initialized value (never in the mask).
-template <class A>
-inline void expand_span(const A* seg_base, int segs, int width, std::uint32_t stride,
-                        Lanes<A>& out) {
-  for (int seg = 0; seg < segs; ++seg) {
-    for (int t = 0; t < width; ++t) {
-      const int lane = seg * width + t;
-      if (lane >= 32) return;
-      out[static_cast<std::size_t>(lane)] =
-          seg_base[seg] + static_cast<A>(t) * static_cast<A>(stride);
-    }
-  }
-}
-
 /// Active-lane mask of one `width`-lane segment (relative lane bits).
 inline std::uint32_t span_seg_mask(std::uint32_t mask, int seg, int width) {
   return width >= 32 ? mask : (mask >> (seg * width)) & ((1u << width) - 1u);
@@ -43,6 +27,12 @@ inline std::uint32_t span_seg_mask(std::uint32_t mask, int seg, int width) {
 inline std::uint32_t span_full_mask(int segs, int width) {
   const int lanes = segs * width;
   return lanes >= 32 ? kFullMask : (1u << lanes) - 1u;
+}
+
+/// True when a (non-empty) segment mask is one contiguous lane run.
+inline bool contiguous(std::uint32_t seg_mask) {
+  const std::uint32_t run = seg_mask >> std::countr_zero(seg_mask);
+  return (run & (run + 1)) == 0;
 }
 
 /// Collects the unique 32 B sectors touched by one warp memory request.
@@ -64,263 +54,187 @@ class SectorSet {
   int n_ = 0;
 };
 
-}  // namespace detail
-
-template <class V>
-void Warp::ldg(const AddrLanes& addr, Lanes<V>& dst, std::uint32_t mask) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  static_assert(sizeof(V) == 2 || sizeof(V) == 4 || sizeof(V) == 8 ||
-                sizeof(V) == 16);
-  KernelStats& s = stats();
-  count(Op::kLdg);
-  if constexpr (sizeof(V) == 2) {
-    ++s.ldg16;
-  } else if constexpr (sizeof(V) == 4) {
-    ++s.ldg32;
-  } else if constexpr (sizeof(V) == 8) {
-    ++s.ldg64;
-  } else {
-    ++s.ldg128;
-  }
-  if (mask == 0) return;
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    san->on_global_load(warp_id_, addr, mask, sizeof(V));
-  }
-
-  Device& dev = device();
-  FaultState* faults = sm().faults();  // null ⇒ fault-free fast path
-  detail::SectorSet sectors;
-  for (int lane = 0; lane < 32; ++lane) {
-    if (!(mask & (1u << lane))) continue;
-    const std::uint64_t a = addr[static_cast<std::size_t>(lane)];
-    VSPARSE_DCHECK(a % sizeof(V) == 0);  // natural alignment, as CUDA requires
-    std::memcpy(&dst[static_cast<std::size_t>(lane)],
-                dev.translate(a, sizeof(V)), sizeof(V));
-    if (faults != nullptr) [[unlikely]] {
-      faults->on_global_read(a, &dst[static_cast<std::size_t>(lane)],
-                             sizeof(V), s);
+/// Bank-conflict degree of one shared-memory request: lanes whose
+/// first 4 B word maps to the same bank but a *different* word
+/// serialize; the same word broadcasts.
+class BankScan {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < n_; ++i) {
+      if (words_[i] == word) return;
     }
-    sectors.insert(a & ~std::uint64_t{31});
+    words_[n_++] = word;
+    degree_ = std::max(degree_, ++count_[word % 32]);
   }
-  s.global_load_requests += 1;
-  s.global_load_sectors += static_cast<std::uint64_t>(sectors.size());
-  SectorCache& l1 = sm().l1();
-  ShardedCache& l2 = dev.l2();
-  for (int i = 0; i < sectors.size(); ++i) {
-    if (l1.access(sectors[i])) {
-      ++s.l1_sector_hits;
+  int degree() const { return degree_; }
+
+ private:
+  std::uint64_t words_[32];
+  int count_[32] = {};
+  int n_ = 0;
+  int degree_ = 1;
+};
+
+/// Move segment `seg`'s active lanes between registers (`regs[seg *
+/// width + t]`) and memory at `hull`, the address of lane `lo`: one
+/// block copy for a contiguous run at stride sizeof(V), else lane by
+/// lane.  kStore copies registers to memory.
+template <bool kStore, class V, class Regs>
+void copy_segment(std::byte* hull, Regs& regs, int seg, int width, int lo,
+                  int hi, std::uint32_t seg_mask, std::uint32_t stride,
+                  bool run) {
+  const auto lane = [&](int t) {
+    return &regs[static_cast<std::size_t>(seg * width + t)];
+  };
+  if (run && stride == sizeof(V)) {
+    const std::size_t bytes = static_cast<std::size_t>(hi - lo + 1) * sizeof(V);
+    if constexpr (kStore) {
+      std::memcpy(hull, lane(lo), bytes);
     } else {
-      ++s.l1_sector_misses;
-      if (l2.access(sectors[i])) {
-        ++s.l2_sector_hits;
-      } else {
-        ++s.l2_sector_misses;
-        s.dram_read_bytes += 32;
-      }
+      std::memcpy(lane(lo), hull, bytes);
     }
-  }
-}
-
-template <class V>
-void Warp::stg(const AddrLanes& addr, const Lanes<V>& src,
-               std::uint32_t mask) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  static_assert(sizeof(V) == 2 || sizeof(V) == 4 || sizeof(V) == 8 ||
-                sizeof(V) == 16);
-  KernelStats& s = stats();
-  count(Op::kStg);
-  if (mask == 0) return;
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    san->on_global_store(warp_id_, addr, mask, sizeof(V));
-  }
-
-  Device& dev = device();
-  detail::SectorSet sectors;
-  for (int lane = 0; lane < 32; ++lane) {
-    if (!(mask & (1u << lane))) continue;
-    const std::uint64_t a = addr[static_cast<std::size_t>(lane)];
-    VSPARSE_DCHECK(a % sizeof(V) == 0);
-    std::memcpy(dev.translate(a, sizeof(V)),
-                &src[static_cast<std::size_t>(lane)], sizeof(V));
-    sectors.insert(a & ~std::uint64_t{31});
-  }
-  s.global_store_requests += 1;
-  s.global_store_sectors += static_cast<std::uint64_t>(sectors.size());
-  SectorCache& l1 = sm().l1();
-  ShardedCache& l2 = dev.l2();
-  for (int i = 0; i < sectors.size(); ++i) {
-    l1.invalidate_sector(sectors[i]);  // keep L1 coherent with the store
-    if (!l2.access(sectors[i])) {
-      ++s.l2_sector_misses;
-      s.dram_write_bytes += 32;
-    } else {
-      ++s.l2_sector_hits;
-    }
-  }
-}
-
-template <class V>
-void Warp::lds(const Lanes<std::uint32_t>& off, Lanes<V>& dst,
-               std::uint32_t mask) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  KernelStats& s = stats();
-  count(Op::kLds);
-  if (mask == 0) return;
-  // Sanitize before executing: an OOB lds must be *reported* before the
-  // always-on bounds check below unwinds the launch.
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    san->on_smem_load(warp_id_, off, mask, sizeof(V));
-  }
-  s.smem_load_requests += 1;
-  FaultState* faults = sm().faults();  // null ⇒ fault-free fast path
-
-  // Bank-conflict model: lanes whose first 4 B word maps to the same
-  // bank but a *different* word serialize; same word broadcasts.
-  int bank_word[32];
-  int bank_count[32] = {};
-  int lanes_active = 0;
-  std::byte* smem = cta_->smem();
-  for (int lane = 0; lane < 32; ++lane) {
-    if (!(mask & (1u << lane))) continue;
-    const std::uint32_t o = off[static_cast<std::size_t>(lane)];
-    VSPARSE_CHECK_MSG(o + sizeof(V) <= cta_->smem_bytes(),
-                      "smem OOB load at offset " << o);
-    std::memcpy(&dst[static_cast<std::size_t>(lane)], smem + o, sizeof(V));
-    if (faults != nullptr) [[unlikely]] {
-      faults->on_smem_read(o, &dst[static_cast<std::size_t>(lane)], sizeof(V),
-                           s);
-    }
-    const int word = static_cast<int>(o / 4);
-    const int bank = word % 32;
-    // Count distinct words per bank (approximate: treat each lane's
-    // first word as its bank access).
-    bool dup = false;
-    for (int l2i = 0; l2i < lanes_active; ++l2i) {
-      if (bank_word[l2i] == word) {
-        dup = true;
-        break;
-      }
-    }
-    bank_word[lanes_active++] = word;
-    if (!dup) ++bank_count[bank];
-  }
-  int degree = 1;
-  for (int b = 0; b < 32; ++b) degree = std::max(degree, bank_count[b]);
-  const int width_factor =
-      static_cast<int>(std::max<std::size_t>(1, sizeof(V) / 8));
-  s.smem_wavefronts +=
-      static_cast<std::uint64_t>(degree) * static_cast<std::uint64_t>(width_factor);
-  s.smem_load_bytes += static_cast<std::uint64_t>(lanes_active) * sizeof(V);
-}
-
-template <class V>
-void Warp::sts(const Lanes<std::uint32_t>& off, const Lanes<V>& src,
-               std::uint32_t mask) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  KernelStats& s = stats();
-  count(Op::kSts);
-  if (mask == 0) return;
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    san->on_smem_store(warp_id_, off, mask, sizeof(V));
-  }
-  s.smem_store_requests += 1;
-
-  std::byte* smem = cta_->smem();
-  int lanes_active = 0;
-  for (int lane = 0; lane < 32; ++lane) {
-    if (!(mask & (1u << lane))) continue;
-    const std::uint32_t o = off[static_cast<std::size_t>(lane)];
-    VSPARSE_CHECK_MSG(o + sizeof(V) <= cta_->smem_bytes(),
-                      "smem OOB store at offset " << o);
-    std::memcpy(smem + o, &src[static_cast<std::size_t>(lane)], sizeof(V));
-    ++lanes_active;
-  }
-  const int width_factor =
-      static_cast<int>(std::max<std::size_t>(1, sizeof(V) / 8));
-  s.smem_wavefronts += static_cast<std::uint64_t>(width_factor);
-  s.smem_store_bytes += static_cast<std::uint64_t>(lanes_active) * sizeof(V);
-}
-
-// ---- span (warp-granular) forms --------------------------------------
-//
-// Each span op is the batched twin of the per-lane op above it: the
-// kernel states the address pattern (segments of an affine sequence)
-// and the engine services every segment with one hull translation /
-// bounds check and one monotone sector or closed-form bank walk.
-// Counter equivalence with the per-lane forms is argued case-by-case
-// in DESIGN.md §2h; when a sanitizer or fault plan is attached the
-// descriptor is expanded into lane arrays and the per-lane op runs, so
-// the diagnostic surfaces observe the exact per-lane sequence.
-
-template <class V>
-void Warp::ldg_span(const std::uint64_t* seg_base, int segs, int width,
-                    std::uint32_t stride, Lanes<V>& dst, std::uint32_t mask) {
-  static_assert(std::is_trivially_copyable_v<V>);
-  static_assert(sizeof(V) == 2 || sizeof(V) == 4 || sizeof(V) == 8 ||
-                sizeof(V) == 16);
-  VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
-  VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
-  if (sm().sanitizer() != nullptr || sm().faults() != nullptr) [[unlikely]] {
-    AddrLanes addr{};
-    detail::expand_span(seg_base, segs, width, stride, addr);
-    ldg(addr, dst, mask);
     return;
   }
-  KernelStats& s = stats();
-  count(Op::kLdg);
-  if constexpr (sizeof(V) == 2) {
-    ++s.ldg16;
-  } else if constexpr (sizeof(V) == 4) {
-    ++s.ldg32;
-  } else if constexpr (sizeof(V) == 8) {
-    ++s.ldg64;
-  } else {
-    ++s.ldg128;
+  for (std::uint32_t m = seg_mask; m != 0; m &= m - 1) {
+    const int t = std::countr_zero(m);
+    std::byte* mem = hull + static_cast<std::size_t>(t - lo) * stride;
+    if constexpr (kStore) {
+      std::memcpy(mem, lane(t), sizeof(V));
+    } else {
+      std::memcpy(lane(t), mem, sizeof(V));
+    }
   }
-  if (mask == 0) return;
+}
 
-  Device& dev = device();
-  SectorCache& l1 = sm().l1();
+/// Byte address (global) or offset (smem) of segment `seg`'s lane `t`.
+template <class A>
+std::uint64_t lane_addr(const A* seg_base, int seg, int t, std::uint32_t stride) {
+  return static_cast<std::uint64_t>(seg_base[seg]) +
+         static_cast<std::uint64_t>(t) * stride;
+}
+
+/// Wavefronts one smem request of V per lane costs before conflicts.
+template <class V>
+constexpr std::uint64_t smem_width_factor() {
+  return std::max<std::size_t>(1, sizeof(V) / 8);
+}
+
+/// The body both global span ops share.  Copies every active lane
+/// between registers and device memory with one bounds-checked hull
+/// translation per segment — the arena is one contiguous [0, used)
+/// region, so the hull [first lane's start, last lane's end) is in
+/// bounds iff every active lane is.  A load then runs its fault hooks
+/// once per active lane, in lane order, after the copy and before any
+/// cache probe, so an ECC abort leaves the counters and cache state of
+/// a request that never reached the hierarchy.  Finally every distinct
+/// 32 B sector is fed to L1/L2 in per-lane first-touch order
+/// (segment-major, ascending within a segment because stride >= 0 makes
+/// it monotone).  Returns the number of sectors.
+///
+/// Runs: when every active segment is a contiguous lane run with
+/// stride <= 32, a segment's footprint is exactly the closed interval
+/// [first, last] step 32 (consecutive lanes advance < one sector, so
+/// none is skipped and all are distinct), and cross-segment dedup
+/// reduces to interval-membership tests against earlier segments.
+/// Otherwise each segment is walked lane by lane with
+/// compare-with-previous dedup (equal sectors are adjacent in a
+/// monotone sequence) and a SectorSet catches cross-segment repeats.
+/// One-lane segments — the divergent form — always take the lane walk
+/// and per-sector probes: interval tests and line batching only pay off
+/// on runs.
+template <bool kStore, class V, class Regs>
+std::uint64_t global_span(Device& dev, SectorCache& l1, KernelStats& s,
+                          FaultState* faults, const std::uint64_t* seg_base,
+                          int segs, int width, std::uint32_t stride,
+                          Regs& regs, std::uint32_t mask) {
+  bool runs = width > 1 && stride <= 32;
+  for (int seg = 0; runs && seg < segs; ++seg) {
+    const std::uint32_t seg_mask = span_seg_mask(mask, seg, width);
+    runs = seg_mask == 0 || contiguous(seg_mask);
+  }
+  std::uint64_t first[32];
+  std::uint64_t last[32];
+  int n = 0;
+  for (int seg = 0; seg < segs; ++seg) {
+    const std::uint32_t seg_mask = span_seg_mask(mask, seg, width);
+    if (seg_mask == 0) continue;
+    const int lo = std::countr_zero(seg_mask);
+    const int hi = 31 - std::countl_zero(seg_mask);
+    const std::uint64_t base = seg_base[seg];
+    VSPARSE_DCHECK(base % sizeof(V) == 0);  // natural alignment
+    VSPARSE_DCHECK(hi == lo || stride % sizeof(V) == 0);
+    std::byte* hull =
+        dev.translate(base + static_cast<std::uint64_t>(lo) * stride,
+                      static_cast<std::size_t>(hi - lo) * stride + sizeof(V));
+    copy_segment<kStore, V>(hull, regs, seg, width, lo, hi, seg_mask, stride,
+                            runs || contiguous(seg_mask));
+    first[n] = (base + static_cast<std::uint64_t>(lo) * stride) & ~std::uint64_t{31};
+    last[n] = (base + static_cast<std::uint64_t>(hi) * stride) & ~std::uint64_t{31};
+    ++n;
+  }
+  if constexpr (!kStore) {
+    if (faults != nullptr) [[unlikely]] {
+      for (int seg = 0; seg < segs; ++seg) {
+        for (std::uint32_t m = span_seg_mask(mask, seg, width); m != 0;
+             m &= m - 1) {
+          const int t = std::countr_zero(m);
+          faults->on_global_read(lane_addr(seg_base, seg, t, stride),
+                                 &regs[static_cast<std::size_t>(seg * width + t)],
+                                 sizeof(V), s);
+        }
+      }
+    }
+  }
+  // Feed the sectors through L1/L2.  Loads probe L1 and go to L2 on a
+  // miss; stores invalidate the L1 copy and write through L2 (Volta
+  // global stores do not allocate in L1).  Consecutive touches of one
+  // cache line merge into ONE probe per level (a sector-bit mask instead
+  // of up to 4 tag lookups); SetArray::access_line documents why that is
+  // state- and counter-identical to the per-sector sequence, and merging
+  // only adjacent touches preserves interleavings with other lines.
   ShardedCache& l2 = dev.l2();
-  std::uint64_t nsec = 0;
-  // Unique sectors arrive in per-lane first-touch order, ascending
-  // within a segment — so consecutive touches of the same cache line
-  // can be merged into ONE probe per cache level (a 4-bit sector mask
-  // instead of up to 4 tag lookups).  SetArray::access_line documents
-  // why the merged probe is state- and counter-identical to the
-  // per-sector sequence; merging only coalesces *adjacent* touches, so
-  // interleavings with other lines are preserved exactly.
-  const std::uint64_t line_bytes =
-      static_cast<std::uint64_t>(l1.line_bytes());
+  const std::uint64_t line_bytes = static_cast<std::uint64_t>(l1.line_bytes());
   const bool batch =
-      line_bytes == static_cast<std::uint64_t>(l2.line_bytes()) &&
+      width > 1 && line_bytes == static_cast<std::uint64_t>(l2.line_bytes()) &&
       line_bytes >= 32 && line_bytes <= 32 * 32 &&
       (line_bytes & (line_bytes - 1)) == 0;
+  std::uint64_t nsec = 0;
   std::uint64_t cur_line = ~std::uint64_t{0};
   std::uint32_t cur_bits = 0;
   const auto flush = [&] {
     if (cur_bits == 0) return;
-    const std::uint32_t hits = l1.access_line(cur_line, cur_bits);
-    const int nb = std::popcount(cur_bits);
-    const int nh = std::popcount(hits);
-    s.l1_sector_hits += static_cast<std::uint64_t>(nh);
-    s.l1_sector_misses += static_cast<std::uint64_t>(nb - nh);
-    if (const std::uint32_t miss = cur_bits & ~hits; miss != 0) {
-      const std::uint32_t h2 = l2.access_line(cur_line, miss);
-      const int nm = std::popcount(miss);
-      const int nh2 = std::popcount(h2);
+    std::uint32_t l2_bits = cur_bits;
+    if constexpr (kStore) {
+      l1.invalidate_line(cur_line, cur_bits);
+    } else {
+      const std::uint32_t hits = l1.access_line(cur_line, cur_bits);
+      const int nh = std::popcount(hits);
+      s.l1_sector_hits += static_cast<std::uint64_t>(nh);
+      s.l1_sector_misses += static_cast<std::uint64_t>(std::popcount(cur_bits) - nh);
+      l2_bits &= ~hits;
+    }
+    if (l2_bits != 0) {
+      const int nh2 = std::popcount(l2.access_line(cur_line, l2_bits));
+      const auto nm2 = static_cast<std::uint64_t>(std::popcount(l2_bits) - nh2);
       s.l2_sector_hits += static_cast<std::uint64_t>(nh2);
-      s.l2_sector_misses += static_cast<std::uint64_t>(nm - nh2);
-      s.dram_read_bytes += 32u * static_cast<std::uint64_t>(nm - nh2);
+      s.l2_sector_misses += nm2;
+      (kStore ? s.dram_write_bytes : s.dram_read_bytes) += 32u * nm2;
     }
     cur_bits = 0;
   };
   const auto touch = [&](std::uint64_t sec) {
     ++nsec;
     if (!batch) [[unlikely]] {
-      // Mismatched/unusual line geometry: per-sector walk, identical to
-      // the per-lane op's hierarchy accounting.
-      if (l1.access(sec)) {
+      // One-lane segments or unusual line geometry: per-sector walk.
+      if constexpr (kStore) {
+        l1.invalidate_sector(sec);
+        if (l2.access(sec)) {
+          ++s.l2_sector_hits;
+        } else {
+          ++s.l2_sector_misses;
+          s.dram_write_bytes += 32;
+        }
+      } else if (l1.access(sec)) {
         ++s.l1_sector_hits;
       } else {
         ++s.l1_sector_misses;
@@ -340,113 +254,129 @@ void Warp::ldg_span(const std::uint64_t* seg_base, int segs, int width,
     }
     cur_bits |= 1u << ((sec - line) >> 5);
   };
-  // Fused fast path: when every active segment is a contiguous lane run
-  // with stride <= 32, each segment's sector footprint is exactly the
-  // closed interval [first, last] step 32 (consecutive lane addresses
-  // advance < one sector, so none is skipped and all are distinct).
-  // Cross-segment dedup then reduces to interval-membership tests
-  // against the previously emitted segments, so sectors can be fed to
-  // the caches inline — no SectorSet, no second pass — while keeping
-  // the per-lane first-touch order (segment-major, ascending).
-  bool fused = stride <= 32;
-  for (int seg = 0; fused && seg < segs; ++seg) {
-    const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
-    if (seg_mask == 0) continue;
-    const std::uint32_t run = seg_mask >> std::countr_zero(seg_mask);
-    fused = (run & (run + 1)) == 0;
-  }
-  detail::SectorSet sectors;
-  std::uint64_t ivl_first[32];
-  std::uint64_t ivl_last[32];
-  int nivl = 0;
-  for (int seg = 0; seg < segs; ++seg) {
-    const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
-    if (seg_mask == 0) continue;
-    const int lo = std::countr_zero(seg_mask);
-    const int hi = 31 - std::countl_zero(seg_mask);
-    const std::uint64_t base = seg_base[seg];
-    VSPARSE_DCHECK(base % sizeof(V) == 0);
-    VSPARSE_DCHECK(hi == lo || stride % sizeof(V) == 0);
-    // One bounds check for the whole segment: the arena is one
-    // contiguous [0, used) region, so the hull [first lane's start,
-    // last lane's end) is in bounds iff every active lane is.
-    const std::byte* hull =
-        dev.translate(base + static_cast<std::uint64_t>(lo) * stride,
-                      static_cast<std::size_t>(hi - lo) * stride + sizeof(V));
-    if (fused) {
-      if (stride == sizeof(V)) {
-        std::memcpy(&dst[static_cast<std::size_t>(seg * width + lo)], hull,
-                    static_cast<std::size_t>(hi - lo + 1) * sizeof(V));
-      } else {
-        for (int t = lo; t <= hi; ++t) {
-          std::memcpy(&dst[static_cast<std::size_t>(seg * width + t)],
-                      hull + static_cast<std::size_t>(t - lo) * stride,
-                      sizeof(V));
-        }
-      }
-      const std::uint64_t first =
-          (base + static_cast<std::uint64_t>(lo) * stride) & ~std::uint64_t{31};
-      const std::uint64_t last =
-          (base + static_cast<std::uint64_t>(hi) * stride) & ~std::uint64_t{31};
-      for (std::uint64_t sec = first; sec <= last; sec += 32) {
+  if (runs) {
+    for (int i = 0; i < n; ++i) {
+      for (std::uint64_t sec = first[i]; sec <= last[i]; sec += 32) {
         bool seen = false;
-        for (int i = 0; i < nivl; ++i) {
-          if (sec >= ivl_first[i] && sec <= ivl_last[i]) {
-            seen = true;
-            break;
-          }
+        for (int j = 0; j < i && !seen; ++j) {
+          seen = sec >= first[j] && sec <= last[j];
         }
         if (!seen) touch(sec);
       }
-      ivl_first[nivl] = first;
-      ivl_last[nivl] = last;
-      ++nivl;
-      continue;
     }
-    // General path: monotone per-segment walk with compare-with-previous
-    // dedup (equal sectors are adjacent because stride >= 0 makes the
-    // sequence monotone); the SectorSet handles cross-segment repeats in
-    // the same first-touch order as the per-lane loop.
-    const std::uint32_t crun = seg_mask >> lo;
-    std::uint64_t prev = ~std::uint64_t{0};
-    if ((crun & (crun + 1)) == 0) {
-      if (stride == sizeof(V)) {
-        std::memcpy(&dst[static_cast<std::size_t>(seg * width + lo)], hull,
-                    static_cast<std::size_t>(hi - lo + 1) * sizeof(V));
-      } else {
-        for (int t = lo; t <= hi; ++t) {
-          std::memcpy(&dst[static_cast<std::size_t>(seg * width + t)],
-                      hull + static_cast<std::size_t>(t - lo) * stride,
-                      sizeof(V));
-        }
-      }
-      for (int t = lo; t <= hi; ++t) {
+  } else {
+    SectorSet sectors;
+    for (int seg = 0; seg < segs; ++seg) {
+      std::uint64_t prev = ~std::uint64_t{0};
+      for (std::uint32_t m = span_seg_mask(mask, seg, width); m != 0;
+           m &= m - 1) {
         const std::uint64_t sec =
-            (base + static_cast<std::uint64_t>(t) * stride) &
+            lane_addr(seg_base, seg, std::countr_zero(m), stride) &
             ~std::uint64_t{31};
         if (sec != prev) {
           sectors.insert(sec);
           prev = sec;
         }
       }
-      continue;
     }
-    for (std::uint32_t m = seg_mask; m != 0; m &= m - 1) {
+    for (int i = 0; i < sectors.size(); ++i) touch(sectors[i]);
+  }
+  flush();
+  return nsec;
+}
+
+/// Fault hooks of a shared-memory load for segments [seg_begin,
+/// seg_end): once per active lane, in lane order.
+template <class V>
+void smem_fault_hooks(FaultState& faults, const std::uint32_t* seg_off,
+                      int seg_begin, int seg_end, int width,
+                      std::uint32_t stride, std::uint32_t mask, Lanes<V>& dst,
+                      KernelStats& s) {
+  for (int seg = seg_begin; seg < seg_end; ++seg) {
+    for (std::uint32_t m = span_seg_mask(mask, seg, width); m != 0; m &= m - 1) {
       const int t = std::countr_zero(m);
-      std::memcpy(&dst[static_cast<std::size_t>(seg * width + t)],
-                  hull + static_cast<std::size_t>(t - lo) * stride, sizeof(V));
-      const std::uint64_t sec =
-          (base + static_cast<std::uint64_t>(t) * stride) & ~std::uint64_t{31};
-      if (sec != prev) {
-        sectors.insert(sec);
-        prev = sec;
+      faults.on_smem_read(
+          static_cast<std::uint32_t>(lane_addr(seg_off, seg, t, stride)),
+          &dst[static_cast<std::size_t>(seg * width + t)], sizeof(V), s);
+    }
+  }
+}
+
+/// Segment `seg` of a shared-memory request has an out-of-bounds hull:
+/// its last active lane has its highest offset, so some active lane is
+/// out of bounds.  Finish every lane before the first offending one, in
+/// lane order — for a load, the fault hooks of the already-copied
+/// earlier segments, then this segment lane by lane — and throw for it.
+template <bool kStore, class V, class Regs>
+[[gnu::cold, gnu::noinline]] void smem_oob(
+    std::byte* smem, std::uint64_t smem_bytes, FaultState* faults,
+    const std::uint32_t* seg_off, int seg, int width, std::uint32_t stride,
+    std::uint32_t mask, Regs& regs, KernelStats& s) {
+  if constexpr (!kStore) {
+    if (faults != nullptr) {
+      smem_fault_hooks(*faults, seg_off, 0, seg, width, stride, mask, regs, s);
+    }
+  }
+  for (std::uint32_t m = span_seg_mask(mask, seg, width); m != 0; m &= m - 1) {
+    const std::size_t lane =
+        static_cast<std::size_t>(seg * width + std::countr_zero(m));
+    const std::uint64_t o = lane_addr(seg_off, seg, std::countr_zero(m), stride);
+    VSPARSE_CHECK_MSG(o + sizeof(V) <= smem_bytes,
+                      "smem OOB " << (kStore ? "store" : "load")
+                                  << " at offset " << o);
+    if constexpr (kStore) {
+      std::memcpy(smem + o, &regs[lane], sizeof(V));
+    } else {
+      std::memcpy(&regs[lane], smem + o, sizeof(V));
+      if (faults != nullptr) {
+        faults->on_smem_read(static_cast<std::uint32_t>(o), &regs[lane],
+                             sizeof(V), s);
       }
     }
   }
-  for (int i = 0; i < sectors.size(); ++i) touch(sectors[i]);
-  flush();
+}
+
+}  // namespace detail
+
+// ---- the warp memory ops ----------------------------------------------
+//
+// One op per memory kind.  The kernel states its address pattern as
+// segments of an affine sequence and the engine services each segment
+// with one hull translation / bounds check and one monotone sector or
+// closed-form bank walk; a genuinely divergent access is 32 one-lane
+// segments, which the same bodies service lane by lane.  Fault hooks
+// and the sanitizer consume the descriptor directly (DESIGN.md §2h).
+
+template <class V>
+void Warp::ldg_span(const std::uint64_t* seg_base, int segs, int width,
+                    std::uint32_t stride, Lanes<V>& dst, std::uint32_t mask) {
+  static_assert(std::is_trivially_copyable_v<V>);
+  static_assert(sizeof(V) == 2 || sizeof(V) == 4 || sizeof(V) == 8 ||
+                sizeof(V) == 16);
+  VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
+  VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
+  KernelStats& s = stats();
+  count(Op::kLdg);
+  if constexpr (sizeof(V) == 2) {
+    ++s.ldg16;
+  } else if constexpr (sizeof(V) == 4) {
+    ++s.ldg32;
+  } else if constexpr (sizeof(V) == 8) {
+    ++s.ldg64;
+  } else {
+    ++s.ldg128;
+  }
+  if (mask == 0) return;
+  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
+    san->on_global_load(warp_id_, seg_base, segs, width, stride, mask,
+                        sizeof(V));
+  }
+
+  const std::uint64_t sectors = detail::global_span<false, V>(
+      device(), sm().l1(), s, sm().faults(), seg_base, segs, width, stride,
+      dst, mask);
   s.global_load_requests += 1;
-  s.global_load_sectors += nsec;
+  s.global_load_sectors += sectors;
 }
 
 template <class V>
@@ -464,155 +394,19 @@ void Warp::stg_span(const std::uint64_t* seg_base, int segs, int width,
                 sizeof(V) == 16);
   VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
   VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
-  if (sm().sanitizer() != nullptr) [[unlikely]] {
-    AddrLanes addr{};
-    detail::expand_span(seg_base, segs, width, stride, addr);
-    stg(addr, src, mask);
-    return;
-  }
   KernelStats& s = stats();
   count(Op::kStg);
   if (mask == 0) return;
+  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
+    san->on_global_store(warp_id_, seg_base, segs, width, stride, mask,
+                         sizeof(V));
+  }
 
-  Device& dev = device();
-  SectorCache& l1 = sm().l1();
-  ShardedCache& l2 = dev.l2();
-  std::uint64_t nsec = 0;
-  // Same line-batched touch as ldg_span (see the argument there): one
-  // L1 invalidate + one L2 probe per line instead of per sector.
-  const std::uint64_t line_bytes =
-      static_cast<std::uint64_t>(l1.line_bytes());
-  const bool batch =
-      line_bytes == static_cast<std::uint64_t>(l2.line_bytes()) &&
-      line_bytes >= 32 && line_bytes <= 32 * 32 &&
-      (line_bytes & (line_bytes - 1)) == 0;
-  std::uint64_t cur_line = ~std::uint64_t{0};
-  std::uint32_t cur_bits = 0;
-  const auto flush = [&] {
-    if (cur_bits == 0) return;
-    l1.invalidate_line(cur_line, cur_bits);  // keep L1 coherent
-    const std::uint32_t h2 = l2.access_line(cur_line, cur_bits);
-    const int nb = std::popcount(cur_bits);
-    const int nh2 = std::popcount(h2);
-    s.l2_sector_hits += static_cast<std::uint64_t>(nh2);
-    s.l2_sector_misses += static_cast<std::uint64_t>(nb - nh2);
-    s.dram_write_bytes += 32u * static_cast<std::uint64_t>(nb - nh2);
-    cur_bits = 0;
-  };
-  const auto touch = [&](std::uint64_t sec) {
-    ++nsec;
-    if (!batch) [[unlikely]] {
-      l1.invalidate_sector(sec);  // keep L1 coherent with the store
-      if (!l2.access(sec)) {
-        ++s.l2_sector_misses;
-        s.dram_write_bytes += 32;
-      } else {
-        ++s.l2_sector_hits;
-      }
-      return;
-    }
-    const std::uint64_t line = sec & ~(line_bytes - 1);
-    if (line != cur_line) {
-      flush();
-      cur_line = line;
-    }
-    cur_bits |= 1u << ((sec - line) >> 5);
-  };
-  // Same fused interval-dedup fast path as ldg_span (see the argument
-  // there): contiguous runs with stride <= 32 emit their sectors inline
-  // in per-lane first-touch order.
-  bool fused = stride <= 32;
-  for (int seg = 0; fused && seg < segs; ++seg) {
-    const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
-    if (seg_mask == 0) continue;
-    const std::uint32_t run = seg_mask >> std::countr_zero(seg_mask);
-    fused = (run & (run + 1)) == 0;
-  }
-  detail::SectorSet sectors;
-  std::uint64_t ivl_first[32];
-  std::uint64_t ivl_last[32];
-  int nivl = 0;
-  for (int seg = 0; seg < segs; ++seg) {
-    const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
-    if (seg_mask == 0) continue;
-    const int lo = std::countr_zero(seg_mask);
-    const int hi = 31 - std::countl_zero(seg_mask);
-    const std::uint64_t base = seg_base[seg];
-    VSPARSE_DCHECK(base % sizeof(V) == 0);
-    VSPARSE_DCHECK(hi == lo || stride % sizeof(V) == 0);
-    std::byte* hull =
-        dev.translate(base + static_cast<std::uint64_t>(lo) * stride,
-                      static_cast<std::size_t>(hi - lo) * stride + sizeof(V));
-    if (fused) {
-      if (stride == sizeof(V)) {
-        std::memcpy(hull, &src[static_cast<std::size_t>(seg * width + lo)],
-                    static_cast<std::size_t>(hi - lo + 1) * sizeof(V));
-      } else {
-        for (int t = lo; t <= hi; ++t) {
-          std::memcpy(hull + static_cast<std::size_t>(t - lo) * stride,
-                      &src[static_cast<std::size_t>(seg * width + t)],
-                      sizeof(V));
-        }
-      }
-      const std::uint64_t first =
-          (base + static_cast<std::uint64_t>(lo) * stride) & ~std::uint64_t{31};
-      const std::uint64_t last =
-          (base + static_cast<std::uint64_t>(hi) * stride) & ~std::uint64_t{31};
-      for (std::uint64_t sec = first; sec <= last; sec += 32) {
-        bool seen = false;
-        for (int i = 0; i < nivl; ++i) {
-          if (sec >= ivl_first[i] && sec <= ivl_last[i]) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) touch(sec);
-      }
-      ivl_first[nivl] = first;
-      ivl_last[nivl] = last;
-      ++nivl;
-      continue;
-    }
-    const std::uint32_t crun = seg_mask >> lo;
-    std::uint64_t prev = ~std::uint64_t{0};
-    if ((crun & (crun + 1)) == 0) {
-      if (stride == sizeof(V)) {
-        std::memcpy(hull, &src[static_cast<std::size_t>(seg * width + lo)],
-                    static_cast<std::size_t>(hi - lo + 1) * sizeof(V));
-      } else {
-        for (int t = lo; t <= hi; ++t) {
-          std::memcpy(hull + static_cast<std::size_t>(t - lo) * stride,
-                      &src[static_cast<std::size_t>(seg * width + t)],
-                      sizeof(V));
-        }
-      }
-      for (int t = lo; t <= hi; ++t) {
-        const std::uint64_t sec =
-            (base + static_cast<std::uint64_t>(t) * stride) &
-            ~std::uint64_t{31};
-        if (sec != prev) {
-          sectors.insert(sec);
-          prev = sec;
-        }
-      }
-      continue;
-    }
-    for (std::uint32_t m = seg_mask; m != 0; m &= m - 1) {
-      const int t = std::countr_zero(m);
-      std::memcpy(hull + static_cast<std::size_t>(t - lo) * stride,
-                  &src[static_cast<std::size_t>(seg * width + t)], sizeof(V));
-      const std::uint64_t sec =
-          (base + static_cast<std::uint64_t>(t) * stride) & ~std::uint64_t{31};
-      if (sec != prev) {
-        sectors.insert(sec);
-        prev = sec;
-      }
-    }
-  }
-  for (int i = 0; i < sectors.size(); ++i) touch(sectors[i]);
-  flush();
+  const std::uint64_t sectors = detail::global_span<true, V>(
+      device(), sm().l1(), s, nullptr, seg_base, segs, width, stride, src,
+      mask);
   s.global_store_requests += 1;
-  s.global_store_sectors += nsec;
+  s.global_store_sectors += sectors;
 }
 
 template <class V>
@@ -627,79 +421,46 @@ void Warp::lds_span(const std::uint32_t* seg_off, int segs, int width,
   static_assert(std::is_trivially_copyable_v<V>);
   VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
   VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
-  // Racecheck span fast path: a sanitized span that the admission hook
-  // proves in-bounds and overlap-free (via the static verifier's
-  // span primitive) runs the span memory path below; otherwise it
-  // expands onto the per-lane op for exact per-byte reporting.  A
-  // fault plan always diverts (the fault surface is per-lane).
-  bool divert = sm().faults() != nullptr;
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    divert = divert || !san->on_smem_load_span(warp_id_, seg_off, segs, width,
-                                               stride, mask, sizeof(V));
-  }
-  if (!divert && mask != 0) {
-    // Hull bounds pre-scan.  On OOB, divert so the per-lane path
-    // reports the exact offending lane offset (and throws identically).
-    for (int seg = 0; seg < segs; ++seg) {
-      const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
-      if (seg_mask == 0) continue;
-      const int hi = 31 - std::countl_zero(seg_mask);
-      if (static_cast<std::uint64_t>(seg_off[seg]) +
-              static_cast<std::uint64_t>(hi) * stride + sizeof(V) >
-          cta_->smem_bytes()) {
-        divert = true;
-        break;
-      }
-    }
-  }
-  if (divert) [[unlikely]] {
-    Lanes<std::uint32_t> off{};
-    detail::expand_span(seg_off, segs, width, stride, off);
-    lds(off, dst, mask);
-    return;
-  }
   KernelStats& s = stats();
   count(Op::kLds);
   if (mask == 0) return;
+  // Sanitize before executing: an OOB lds must be *reported* before the
+  // always-on bounds check below unwinds the launch.
+  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
+    san->on_smem_load(warp_id_, seg_off, segs, width, stride, mask,
+                      sizeof(V));
+  }
   s.smem_load_requests += 1;
 
+  FaultState* faults = sm().faults();  // null ⇒ fault-free fast path
   std::byte* smem = cta_->smem();
+  const std::uint64_t smem_bytes = cta_->smem_bytes();
   int lanes_active = 0;
   for (int seg = 0; seg < segs; ++seg) {
     const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
     if (seg_mask == 0) continue;
-    lanes_active += std::popcount(seg_mask);
-    const std::uint32_t o0 = seg_off[seg];
     const int lo = std::countr_zero(seg_mask);
-    const std::uint32_t run = seg_mask >> lo;
-    if ((run & (run + 1)) == 0 && stride == sizeof(V)) {
-      const int hi = 31 - std::countl_zero(seg_mask);
-      std::memcpy(&dst[static_cast<std::size_t>(seg * width + lo)],
-                  smem + o0 + static_cast<std::size_t>(lo) * stride,
-                  static_cast<std::size_t>(hi - lo + 1) * sizeof(V));
-      continue;
+    const int hi = 31 - std::countl_zero(seg_mask);
+    if (detail::lane_addr(seg_off, seg, hi, stride) + sizeof(V) > smem_bytes)
+        [[unlikely]] {
+      detail::smem_oob<false, V>(smem, smem_bytes, faults, seg_off, seg,
+                                 width, stride, mask, dst, s);
     }
-    if (stride == 0) {
-      // Uniform segment: one shared-memory read replicated to every
-      // active lane (same bytes the per-lane loop would copy).
-      V val;
-      std::memcpy(&val, smem + o0, sizeof(V));
-      for (std::uint32_t m = seg_mask; m != 0; m &= m - 1) {
-        dst[static_cast<std::size_t>(seg * width + std::countr_zero(m))] = val;
-      }
-      continue;
-    }
-    for (std::uint32_t m = seg_mask; m != 0; m &= m - 1) {
-      const int t = std::countr_zero(m);
-      std::memcpy(&dst[static_cast<std::size_t>(seg * width + t)],
-                  smem + o0 + static_cast<std::size_t>(t) * stride, sizeof(V));
-    }
+    lanes_active += std::popcount(seg_mask);
+    detail::copy_segment<false, V>(
+        smem + detail::lane_addr(seg_off, seg, lo, stride), dst, seg, width,
+        lo, hi, seg_mask, stride, detail::contiguous(seg_mask));
+  }
+  // Fault hooks: once per active lane, in lane order, after the copy.
+  if (faults != nullptr) [[unlikely]] {
+    detail::smem_fault_hooks(*faults, seg_off, 0, segs, width, stride, mask,
+                             dst, s);
   }
 
   // Bank-conflict degree.  Closed form for the full-mask affine /
-  // repeated-segment patterns and for uniform (stride 0) segments
-  // (DESIGN.md §2h); otherwise replay the per-lane scan on the expanded
-  // words.
+  // repeated-segment pattern (DESIGN.md §2h); otherwise scan the
+  // distinct words — a uniform (stride-0) segment contributes only its
+  // first lane's word, every later lane being a broadcast duplicate.
   int degree = 1;
   bool closed_form = mask == detail::span_full_mask(segs, width) &&
                      stride % 4 == 0 && seg_off[0] % 4 == 0;
@@ -716,59 +477,19 @@ void Warp::lds_span(const std::uint32_t* seg_off, int segs, int width,
       const int period = 32 / std::gcd(wstep, 32);
       degree = (width + period - 1) / period;
     }
-  } else if (stride == 0) {
-    // Uniform segments: every lane of segment s reads seg_off[s]'s
-    // word, so the per-lane scan reduces to counting, per bank, the
-    // distinct words among the active segments (first lane of a
-    // segment is the only possible non-duplicate).
-    std::uint32_t words[32];
-    int bank_count[32] = {};
-    int nw = 0;
-    for (int seg = 0; seg < segs; ++seg) {
-      if (detail::span_seg_mask(mask, seg, width) == 0) continue;
-      const std::uint32_t word = seg_off[seg] / 4;
-      bool dup = false;
-      for (int i = 0; i < nw; ++i) {
-        if (words[i] == word) {
-          dup = true;
-          break;
-        }
-      }
-      words[nw++] = word;
-      if (!dup) {
-        const int d = ++bank_count[word % 32];
-        degree = std::max(degree, d);
-      }
-    }
   } else {
-    int bank_word[32];
-    int bank_count[32] = {};
-    int seen = 0;
+    detail::BankScan banks;
     for (int seg = 0; seg < segs; ++seg) {
-      const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
-      for (std::uint32_t m = seg_mask; m != 0; m &= m - 1) {
-        const int t = std::countr_zero(m);
-        const int word =
-            static_cast<int>((seg_off[seg] + static_cast<std::uint32_t>(t) *
-                                                 stride) /
-                             4);
-        bool dup = false;
-        for (int i = 0; i < seen; ++i) {
-          if (bank_word[i] == word) {
-            dup = true;
-            break;
-          }
-        }
-        bank_word[seen++] = word;
-        if (!dup) ++bank_count[word % 32];
+      std::uint32_t m = detail::span_seg_mask(mask, seg, width);
+      if (stride == 0) m &= -m;
+      for (; m != 0; m &= m - 1) {
+        banks.add(detail::lane_addr(seg_off, seg, std::countr_zero(m), stride) / 4);
       }
     }
-    for (int b = 0; b < 32; ++b) degree = std::max(degree, bank_count[b]);
+    degree = banks.degree();
   }
-  const int width_factor =
-      static_cast<int>(std::max<std::size_t>(1, sizeof(V) / 8));
   s.smem_wavefronts += static_cast<std::uint64_t>(degree) *
-                       static_cast<std::uint64_t>(width_factor);
+                       detail::smem_width_factor<V>();
   s.smem_load_bytes += static_cast<std::uint64_t>(lanes_active) * sizeof(V);
 }
 
@@ -785,61 +506,34 @@ void Warp::sts_span(const std::uint32_t* seg_off, int segs, int width,
   static_assert(std::is_trivially_copyable_v<V>);
   VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
   VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
-  // Same admission contract as lds_span above.
-  bool divert = false;
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    divert = !san->on_smem_store_span(warp_id_, seg_off, segs, width, stride,
-                                      mask, sizeof(V));
-  }
-  if (!divert && mask != 0) {
-    for (int seg = 0; seg < segs; ++seg) {
-      const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
-      if (seg_mask == 0) continue;
-      const int hi = 31 - std::countl_zero(seg_mask);
-      if (static_cast<std::uint64_t>(seg_off[seg]) +
-              static_cast<std::uint64_t>(hi) * stride + sizeof(V) >
-          cta_->smem_bytes()) {
-        divert = true;
-        break;
-      }
-    }
-  }
-  if (divert) [[unlikely]] {
-    Lanes<std::uint32_t> off{};
-    detail::expand_span(seg_off, segs, width, stride, off);
-    sts(off, src, mask);
-    return;
-  }
   KernelStats& s = stats();
   count(Op::kSts);
   if (mask == 0) return;
+  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
+    san->on_smem_store(warp_id_, seg_off, segs, width, stride, mask,
+                       sizeof(V));
+  }
   s.smem_store_requests += 1;
 
   std::byte* smem = cta_->smem();
+  const std::uint64_t smem_bytes = cta_->smem_bytes();
   int lanes_active = 0;
   for (int seg = 0; seg < segs; ++seg) {
     const std::uint32_t seg_mask = detail::span_seg_mask(mask, seg, width);
     if (seg_mask == 0) continue;
-    lanes_active += std::popcount(seg_mask);
-    const std::uint32_t o0 = seg_off[seg];
     const int lo = std::countr_zero(seg_mask);
-    const std::uint32_t run = seg_mask >> lo;
-    if ((run & (run + 1)) == 0 && stride == sizeof(V)) {
-      const int hi = 31 - std::countl_zero(seg_mask);
-      std::memcpy(smem + o0 + static_cast<std::size_t>(lo) * stride,
-                  &src[static_cast<std::size_t>(seg * width + lo)],
-                  static_cast<std::size_t>(hi - lo + 1) * sizeof(V));
-      continue;
+    const int hi = 31 - std::countl_zero(seg_mask);
+    if (detail::lane_addr(seg_off, seg, hi, stride) + sizeof(V) > smem_bytes)
+        [[unlikely]] {
+      detail::smem_oob<true, V>(smem, smem_bytes, nullptr, seg_off, seg,
+                                width, stride, mask, src, s);
     }
-    for (std::uint32_t m = seg_mask; m != 0; m &= m - 1) {
-      const int t = std::countr_zero(m);
-      std::memcpy(smem + o0 + static_cast<std::size_t>(t) * stride,
-                  &src[static_cast<std::size_t>(seg * width + t)], sizeof(V));
-    }
+    lanes_active += std::popcount(seg_mask);
+    detail::copy_segment<true, V>(
+        smem + detail::lane_addr(seg_off, seg, lo, stride), src, seg, width,
+        lo, hi, seg_mask, stride, detail::contiguous(seg_mask));
   }
-  const int width_factor =
-      static_cast<int>(std::max<std::size_t>(1, sizeof(V) / 8));
-  s.smem_wavefronts += static_cast<std::uint64_t>(width_factor);
+  s.smem_wavefronts += detail::smem_width_factor<V>();
   s.smem_store_bytes += static_cast<std::uint64_t>(lanes_active) * sizeof(V);
 }
 

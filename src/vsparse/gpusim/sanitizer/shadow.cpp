@@ -102,32 +102,28 @@ std::uint32_t seg_mask_of(std::uint32_t mask, int seg, int width) {
   return (mask >> (seg * width)) & ((1u << width) - 1u);
 }
 
+/// Call `f(addr)` for every active lane of a span descriptor, in lane
+/// order, with the lane's address `seg_base[seg] + t*stride`.
+template <class A, class F>
+void for_each_lane(const A* seg_base, int segs, int width,
+                   std::uint32_t stride, std::uint32_t mask, F&& f) {
+  for (int seg = 0; seg < segs; ++seg) {
+    for (std::uint32_t m = seg_mask_of(mask, seg, width); m != 0; m &= m - 1) {
+      f(static_cast<std::uint64_t>(seg_base[seg]) +
+        static_cast<std::uint64_t>(std::countr_zero(m)) * stride);
+    }
+  }
+}
+
 }  // namespace
-
-bool SmSanitizer::on_smem_load_span(int warp, const std::uint32_t* seg_off,
-                                    int segs, int width, std::uint32_t stride,
-                                    std::uint32_t mask, std::uint32_t len) {
-  return admit_span(warp, seg_off, segs, width, stride, mask, len,
-                    /*write=*/false);
-}
-
-bool SmSanitizer::on_smem_store_span(int warp, const std::uint32_t* seg_off,
-                                     int segs, int width, std::uint32_t stride,
-                                     std::uint32_t mask, std::uint32_t len) {
-  return admit_span(warp, seg_off, segs, width, stride, mask, len,
-                    /*write=*/true);
-}
 
 bool SmSanitizer::admit_span(int warp, const std::uint32_t* seg_off, int segs,
                              int width, std::uint32_t stride,
                              std::uint32_t mask, std::uint32_t len,
                              bool write) {
-  if (!opts_.span_fastpath || opts_.init) return false;
-  // The per-lane op returns before its hook on an empty mask, so a
-  // handled empty span must not consume an op-stream slot either.
-  if (mask == 0) return true;
-  // Bounds: any out-of-bounds lane falls back so the per-lane path
-  // reports the exact offending offset (and throws identically).
+  if (opts_.init) return false;
+  // Bounds: any out-of-bounds lane falls back to the lane walk, which
+  // reports the exact offending offset.
   for (int seg = 0; seg < segs; ++seg) {
     const std::uint32_t sm = seg_mask_of(mask, seg, width);
     if (sm == 0) continue;
@@ -170,36 +166,30 @@ void SmSanitizer::materialize() {
   for (; materialized_ < span_log_.size(); ++materialized_) {
     const SpanRecord& e = span_log_[materialized_];
     if (e.hull) continue;
-    const int segs = static_cast<int>(e.seg_off.size());
-    for (int seg = 0; seg < segs; ++seg) {
-      const std::uint32_t sm = seg_mask_of(e.mask, seg, e.width);
-      for (std::uint32_t m = sm; m != 0; m &= m - 1) {
-        const std::uint64_t o =
-            e.seg_off[static_cast<std::size_t>(seg)] +
-            static_cast<std::uint64_t>(std::countr_zero(m)) * e.stride;
-        for (std::uint64_t b = o; b < o + e.access; ++b) {
-          ByteShadow& sh = fresh(static_cast<std::uint32_t>(b));
-          if (e.write) {
-            sh.w_warp = e.warp;
-            sh.w_epoch = e.epoch;
-            sh.w_site = e.site;
-            sh.w_op = Op::kSts;
-          } else {
-            sh.r_warp = e.warp;
-            sh.r_epoch = e.epoch;
-            sh.r_site = e.site;
-            sh.r_op = Op::kLds;
-          }
+    for_each_lane(e.seg_off.data(), static_cast<int>(e.seg_off.size()),
+                  e.width, e.stride, e.mask, [&](std::uint64_t o) {
+      for (std::uint64_t b = o; b < o + e.access; ++b) {
+        ByteShadow& sh = fresh(static_cast<std::uint32_t>(b));
+        if (e.write) {
+          sh.w_warp = e.warp;
+          sh.w_epoch = e.epoch;
+          sh.w_site = e.site;
+          sh.w_op = Op::kSts;
+        } else {
+          sh.r_warp = e.warp;
+          sh.r_epoch = e.epoch;
+          sh.r_site = e.site;
+          sh.r_op = Op::kLds;
         }
       }
-    }
+    });
   }
 }
 
 void SmSanitizer::log_hull(int warp, bool write, std::uint32_t epoch,
                            std::uint64_t site, std::uint64_t lo,
                            std::uint64_t hi_end) {
-  if (!opts_.span_fastpath || opts_.init || !opts_.race) return;
+  if (opts_.init || !opts_.race) return;
   if (hi_end <= lo) return;  // no in-bounds byte touched
   SpanRecord rec;
   rec.seg_off.push_back(lo);
@@ -217,8 +207,13 @@ void SmSanitizer::log_hull(int warp, bool write, std::uint32_t epoch,
   if (materialized_ == span_log_.size() - 1) ++materialized_;
 }
 
-void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
+void SmSanitizer::on_smem_load(int warp, const std::uint32_t* seg_off,
+                               int segs, int width, std::uint32_t stride,
                                std::uint32_t mask, std::uint32_t len) {
+  if (admit_span(warp, seg_off, segs, width, stride, mask, len,
+                 /*write=*/false)) {
+    return;
+  }
   materialize();
   const std::uint64_t site = ++cta_op_;
   const std::uint32_t epoch =
@@ -227,12 +222,10 @@ void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
           : 0;
   Agg oob, uninit, raw;
   std::uint64_t hull_lo = smem_bytes_, hull_end = 0;
-  for (int lane = 0; lane < 32; ++lane) {
-    if (!(mask & (1u << lane))) continue;
-    const std::uint64_t o = off[static_cast<std::size_t>(lane)];
+  for_each_lane(seg_off, segs, width, stride, mask, [&](std::uint64_t o) {
     if (o + len > smem_bytes_) {
       oob.note(o, HazardSite{});
-      continue;
+      return;
     }
     hull_lo = std::min(hull_lo, o);
     hull_end = std::max(hull_end, o + len);
@@ -253,7 +246,7 @@ void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
       sh.r_site = site;
       sh.r_op = Op::kLds;
     }
-  }
+  });
   log_hull(warp, /*write=*/false, epoch, site, hull_lo, hull_end);
   const HazardSite reader{warp, Op::kLds, site};
   if (oob.hit && opts_.bounds) {
@@ -297,8 +290,13 @@ void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
   }
 }
 
-void SmSanitizer::on_smem_store(int warp, const Lanes<std::uint32_t>& off,
+void SmSanitizer::on_smem_store(int warp, const std::uint32_t* seg_off,
+                                int segs, int width, std::uint32_t stride,
                                 std::uint32_t mask, std::uint32_t len) {
+  if (admit_span(warp, seg_off, segs, width, stride, mask, len,
+                 /*write=*/true)) {
+    return;
+  }
   materialize();
   const std::uint64_t site = ++cta_op_;
   const std::uint32_t epoch =
@@ -307,12 +305,10 @@ void SmSanitizer::on_smem_store(int warp, const Lanes<std::uint32_t>& off,
           : 0;
   Agg oob, waw, war;
   std::uint64_t hull_lo = smem_bytes_, hull_end = 0;
-  for (int lane = 0; lane < 32; ++lane) {
-    if (!(mask & (1u << lane))) continue;
-    const std::uint64_t o = off[static_cast<std::size_t>(lane)];
+  for_each_lane(seg_off, segs, width, stride, mask, [&](std::uint64_t o) {
     if (o + len > smem_bytes_) {
       oob.note(o, HazardSite{});
-      continue;
+      return;
     }
     hull_lo = std::min(hull_lo, o);
     hull_end = std::max(hull_end, o + len);
@@ -336,7 +332,7 @@ void SmSanitizer::on_smem_store(int warp, const Lanes<std::uint32_t>& off,
       sh.w_site = site;
       sh.w_op = Op::kSts;
     }
-  }
+  });
   log_hull(warp, /*write=*/true, epoch, site, hull_lo, hull_end);
   const HazardSite writer{warp, Op::kSts, site};
   if (oob.hit && opts_.bounds) {
@@ -382,16 +378,22 @@ void SmSanitizer::on_smem_store(int warp, const Lanes<std::uint32_t>& off,
   }
 }
 
-void SmSanitizer::on_global_load(int warp, const AddrLanes& addr,
+void SmSanitizer::on_global_load(int warp, const std::uint64_t* seg_base,
+                                 int segs, int width, std::uint32_t stride,
                                  std::uint32_t mask, std::uint32_t len) {
   ++cta_op_;
-  if (opts_.bounds || opts_.init) check_global(warp, addr, mask, len, Op::kLdg);
+  if (opts_.bounds || opts_.init) {
+    check_global(warp, seg_base, segs, width, stride, mask, len, Op::kLdg);
+  }
 }
 
-void SmSanitizer::on_global_store(int warp, const AddrLanes& addr,
+void SmSanitizer::on_global_store(int warp, const std::uint64_t* seg_base,
+                                  int segs, int width, std::uint32_t stride,
                                   std::uint32_t mask, std::uint32_t len) {
   ++cta_op_;
-  if (opts_.bounds || opts_.init) check_global(warp, addr, mask, len, Op::kStg);
+  if (opts_.bounds || opts_.init) {
+    check_global(warp, seg_base, segs, width, stride, mask, len, Op::kStg);
+  }
 }
 
 const AllocRecord* SmSanitizer::find_alloc(std::uint64_t addr) const {
@@ -403,7 +405,8 @@ const AllocRecord* SmSanitizer::find_alloc(std::uint64_t addr) const {
   return &*std::prev(it);
 }
 
-void SmSanitizer::check_global(int warp, const AddrLanes& addr,
+void SmSanitizer::check_global(int warp, const std::uint64_t* seg_base,
+                               int segs, int width, std::uint32_t stride,
                                std::uint32_t mask, std::uint32_t len, Op op) {
   const std::uint32_t epoch =
       static_cast<std::size_t>(warp) < arrivals_.size()
@@ -412,9 +415,7 @@ void SmSanitizer::check_global(int warp, const AddrLanes& addr,
   Agg oob, uaf;
   const AllocRecord* oob_near = nullptr;
   const AllocRecord* uaf_rec = nullptr;
-  for (int lane = 0; lane < 32; ++lane) {
-    if (!(mask & (1u << lane))) continue;
-    const std::uint64_t a = addr[static_cast<std::size_t>(lane)];
+  for_each_lane(seg_base, segs, width, stride, mask, [&](std::uint64_t a) {
     const AllocRecord* rec = find_alloc(a);
     // `slack` extends what counts as in-bounds (the declared
     // vector-load tail, Device::alloc) without entering the report's
@@ -426,7 +427,7 @@ void SmSanitizer::check_global(int warp, const AddrLanes& addr,
       if (!uaf.hit) uaf_rec = rec;
       uaf.note(a, HazardSite{});
     }
-  }
+  });
   const HazardSite site{warp, op, cta_op_};
   if (oob.hit && opts_.bounds) {
     SanitizerReport r;

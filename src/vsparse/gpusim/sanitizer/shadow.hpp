@@ -66,36 +66,30 @@ class SmSanitizer {
   void on_bar_arrive(int warp, std::uint32_t mask);
 
   // -- memory hooks (racecheck / initcheck / boundscheck) ---------------
-  /// `len` = sizeof the per-lane value; offsets/addresses are the same
-  /// lane arrays the warp op is about to execute with.
-  void on_smem_load(int warp, const Lanes<std::uint32_t>& off,
-                    std::uint32_t mask, std::uint32_t len);
-  void on_smem_store(int warp, const Lanes<std::uint32_t>& off,
-                     std::uint32_t mask, std::uint32_t len);
-
-  // -- span fast path (racecheck x static-verifier overlap) -------------
-  /// Admit one smem span op without expanding it: true means the op was
-  /// fully handled here (footprint logged, one op-stream slot consumed)
-  /// and the caller may run the span memory path; false means the
-  /// caller must expand and run the per-lane op, whose hook above then
-  /// does the exact per-byte reporting.  Admission requires
-  /// opts_.span_fastpath, initcheck off, every active lane in bounds,
-  /// and — when racecheck is armed — provable disjointness (via
+  /// One hook per op kind, called with the op's span descriptor (see
+  /// Warp) before it executes; `len` = sizeof the per-lane value.  An
+  /// smem op first tries span admission: a descriptor that is in bounds
+  /// and — when racecheck is armed — provably disjoint (via
   /// verify::spans_overlap) from every cross-warp same-epoch access
-  /// logged this CTA.
-  bool on_smem_load_span(int warp, const std::uint32_t* seg_off, int segs,
-                         int width, std::uint32_t stride, std::uint32_t mask,
-                         std::uint32_t len);
-  bool on_smem_store_span(int warp, const std::uint32_t* seg_off, int segs,
-                          int width, std::uint32_t stride, std::uint32_t mask,
-                          std::uint32_t len);
-
-  /// Smem span ops admitted on the fast path (no per-byte shadow walk).
-  std::uint64_t span_fastpath_ops() const { return span_fastpath_ops_; }
-  void on_global_load(int warp, const AddrLanes& addr, std::uint32_t mask,
+  /// logged this CTA is logged once, without a per-byte shadow walk.
+  /// Initcheck needs per-byte write tracking, so `init` disables
+  /// admission.  Anything else walks the active lanes in lane order for
+  /// exact per-byte reporting.
+  void on_smem_load(int warp, const std::uint32_t* seg_off, int segs,
+                    int width, std::uint32_t stride, std::uint32_t mask,
+                    std::uint32_t len);
+  void on_smem_store(int warp, const std::uint32_t* seg_off, int segs,
+                     int width, std::uint32_t stride, std::uint32_t mask,
+                     std::uint32_t len);
+  void on_global_load(int warp, const std::uint64_t* seg_base, int segs,
+                      int width, std::uint32_t stride, std::uint32_t mask,
                       std::uint32_t len);
-  void on_global_store(int warp, const AddrLanes& addr, std::uint32_t mask,
+  void on_global_store(int warp, const std::uint64_t* seg_base, int segs,
+                       int width, std::uint32_t stride, std::uint32_t mask,
                        std::uint32_t len);
+
+  /// Smem span ops admitted without a per-byte shadow walk.
+  std::uint64_t span_fastpath_ops() const { return span_fastpath_ops_; }
 
   // -- results ----------------------------------------------------------
   const std::vector<SanitizerReport>& reports() const { return reports_; }
@@ -144,10 +138,11 @@ class SmSanitizer {
     return sh;
   }
 
-  /// One logged smem access this CTA: a fast-pathed span descriptor
+  /// One logged smem access this CTA: an admitted span descriptor
   /// (exact footprint, lazily replayable into the shadow) or the
-  /// conservative byte-range hull of a per-lane op (overlap-check only
-  /// — its bytes are already in the shadow, so materialize skips it).
+  /// conservative byte-range hull of a lane-walked op (overlap-check
+  /// only — its bytes are already in the shadow, so materialize skips
+  /// it).
   struct SpanRecord {
     std::vector<std::uint64_t> seg_off;
     int width = 0;
@@ -166,17 +161,19 @@ class SmSanitizer {
     }
   };
 
-  /// Shared body of the two span hooks.
+  /// Span admission (see the memory hooks): true means the op was
+  /// fully handled (footprint logged, one op-stream slot consumed).
   bool admit_span(int warp, const std::uint32_t* seg_off, int segs, int width,
                   std::uint32_t stride, std::uint32_t mask, std::uint32_t len,
                   bool write);
   /// Replay every logged-but-unmaterialized span into the byte shadow
   /// (silent: admitted spans are provably hazard-free against all
-  /// earlier accesses of this CTA), so a per-lane check that follows
-  /// sees exactly the state an all-per-lane execution would have left.
+  /// earlier accesses of this CTA), so a lane walk that follows sees
+  /// exactly the state an all-lane-walk execution would have left.
   void materialize();
-  /// Log the byte-range hull of a per-lane op so later span admissions
-  /// see it (the bytes themselves went straight into the shadow).
+  /// Log the byte-range hull of a lane-walked op so later span
+  /// admissions see it (the bytes themselves went straight into the
+  /// shadow).
   void log_hull(int warp, bool write, std::uint32_t epoch, std::uint64_t site,
                 std::uint64_t lo, std::uint64_t hi_end);
 
@@ -185,7 +182,8 @@ class SmSanitizer {
 
   /// Largest snapshot entry with base <= addr, or nullptr.
   const AllocRecord* find_alloc(std::uint64_t addr) const;
-  void check_global(int warp, const AddrLanes& addr, std::uint32_t mask,
+  void check_global(int warp, const std::uint64_t* seg_base, int segs,
+                    int width, std::uint32_t stride, std::uint32_t mask,
                     std::uint32_t len, Op op);
 
   int sm_id_;

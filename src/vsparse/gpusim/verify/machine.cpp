@@ -189,16 +189,8 @@ void CtaModel::smem_op(int warp, const std::vector<std::int64_t>& seg_bases,
   const int segs = static_cast<int>(seg_bases.size());
   if (!check_descriptor(segs, width, stride, access, mask, site)) return;
 
-  // Bounds over active lanes + the engine's conservative hull pre-scan
-  // (highest active lane applied to every active segment): a span that
-  // passes exact bounds but fails the hull self-diverts to the
-  // per-lane path at execution time.
-  int hi_lane = -1;
-  for (int t = 0; t < segs * width; ++t) {
-    if (mask & (1u << t)) hi_lane = t % width;
-  }
-  bool exact_ok = true;
-  bool hull_ok = true;
+  // Bounds over active lanes.
+  bool in_bounds = true;
   for (int s = 0; s < segs; ++s) {
     int t_lo = -1, t_hi = -1;
     for (int t = 0; t < width; ++t) {
@@ -214,24 +206,15 @@ void CtaModel::smem_op(int warp, const std::vector<std::int64_t>& seg_bases,
     const std::int64_t hi = seg_bases[static_cast<std::size_t>(s)] +
                             static_cast<std::int64_t>(t_hi) * stride + access;
     if (lo < 0 || hi > smem_bytes_) {
-      exact_ok = false;
+      in_bounds = false;
       std::ostringstream os;
       os << (is_store ? "sts" : "lds") << " outside shared memory ("
          << smem_bytes_ << " B): segment " << s << " bytes [" << lo << ","
          << hi << ")";
       violate(site, os.str());
     }
-    const std::int64_t hull_hi =
-        seg_bases[static_cast<std::size_t>(s)] +
-        static_cast<std::int64_t>(std::max(hi_lane, t_hi)) * stride + access;
-    if (hull_hi > smem_bytes_) hull_ok = false;
   }
-  if (exact_ok && !hull_ok) {
-    lint("span-self-divert", site,
-         "span passes exact bounds but fails the engine's hull pre-scan — "
-         "it executes per-lane even without the sanitizer");
-  }
-  if (!exact_ok) return;
+  if (!in_bounds) return;
 
   // Race check: exact span overlap against every other warp's accesses
   // in the current barrier epoch where either side writes.

@@ -27,14 +27,12 @@
 // the verdict to `unknown` (dynamic sanitizer stays authoritative).
 //
 // The model also runs the lint pass as it goes (vsparse-lint-v1):
-//   per-lane-span        a per-lane loop whose declared pattern is
-//                        (segmented-)affine — expressible as a span;
+//   per-lane-span        a footprint-hull op (`*_lanes`) whose declared
+//                        pattern is (segmented-)affine — expressible as
+//                        a real span descriptor;
 //   slack-dependent-tail a load that is in bounds only through the
 //                        buffer's tail slack (missing residue
 //                        predication made safe by the PR 5 contracts);
-//   span-self-divert     a shared-memory span whose conservative hull
-//                        pre-scan fails while its active lanes are in
-//                        bounds — the engine executes it per-lane;
 //   descriptor-invalid   a descriptor violating the engine's DCHECKed
 //                        validity rules (also a violation).
 #pragma once
@@ -48,7 +46,8 @@
 
 namespace vsparse::verify {
 
-/// Declared address pattern of a per-lane loop (lint classification).
+/// Declared address pattern of a footprint-hull op (lint
+/// classification).
 enum class SpanPattern : std::uint8_t {
   kAffine,     ///< lane addresses affine in the lane id
   kSegmented,  ///< affine within segments of equal width
@@ -96,8 +95,8 @@ class CtaModel {
   /// becomes `unknown`.
   void approximate(const char* site, const std::string& why);
 
-  /// Contract-declared lint finding (e.g. a per-lane loop the contract
-  /// models as exact spans but the kernel executes element-wise).
+  /// Contract-declared lint finding (e.g. an access the contract models
+  /// as exact spans but the kernel executes element-wise).
   /// Deduplicated by (rule, site) like the model's own findings.
   void note_lint(const char* rule, const char* site, std::string detail) {
     lint(rule, site, std::move(detail));
@@ -120,8 +119,9 @@ class CtaModel {
     stg(buf, {base}, 32, stride, access, mask, site);
   }
 
-  /// Per-lane global loop: footprint hull [lo, hi) bytes into `buf`,
-  /// with the loop's declared pattern for the lint pass.
+  /// Data-dependent gather (the kernel's one-lane-segment span) modelled
+  /// by its footprint hull [lo, hi) bytes into `buf`, with the declared
+  /// pattern for the lint pass.
   void ldg_lanes(int buf, Ival lo, Ival hi, SpanPattern pattern,
                  const char* site);
   void stg_lanes(int buf, Ival lo, Ival hi, SpanPattern pattern,
@@ -134,7 +134,7 @@ class CtaModel {
   void lds(int warp, const std::vector<std::int64_t>& seg_bases, int width,
            std::int64_t stride, int access, std::uint32_t mask,
            const char* site);
-  /// Per-lane shared-memory loop (footprint hull, lint pattern).
+  /// Shared-memory gather modelled by its footprint hull (lint pattern).
   void lds_lanes(int warp, std::int64_t lo, std::int64_t hi,
                  SpanPattern pattern, const char* site);
   void sts_lanes(int warp, std::int64_t lo, std::int64_t hi,

@@ -189,27 +189,46 @@ void spmm_wmma_warp(CtaModel& m, const ShapeCorner& s,
     for (std::int64_t n0 : {std::int64_t{0}, std::int64_t{s.n - 64}}) {
       for (std::int64_t cnt : cnt_probes(a.cnt_max)) {
         const std::int64_t begin = a.nnzv - cnt;
-        const std::int64_t end = begin + cnt;
-        m.ldg_lanes(a.row_ptr, Ival(vr * 4), Ival(vr * 4 + 8),
-                    SpanPattern::kAffine, "spmm_wmma.row_ptr");
-        if (cnt > 0) {
-          m.ldg_lanes(a.col_idx, Ival(begin * 4), Ival(end * 4),
-                      SpanPattern::kAffine, "spmm_wmma.col_idx");
+        m.ldg1(a.row_ptr, Ival(vr * 4), 4, 4, 0x3u, "spmm_wmma.row_ptr");
+        // The nonzero loop at its first and last 16-wide chunk.
+        const std::int64_t last_i0 = cnt > 0 ? ((cnt - 1) / 16) * 16 : 0;
+        for (std::int64_t i0 : {std::int64_t{0}, last_i0}) {
+          const std::int64_t nc = std::min<std::int64_t>(16, cnt - i0);
+          if (nc <= 0) continue;
+          m.ldg1(a.col_idx, Ival((begin + i0) * 4), 4, 4,
+                 prefix_mask(static_cast<int>(nc)), "spmm_wmma.col_idx");
           // Values stream in 16 B-aligned LDG.128s: the base rounds
           // down, the final fragment rounds up (PR 5 values slack).
-          const std::int64_t lo = (begin * s.v * 2) / 16 * 16;
-          const std::int64_t hi = ceil_div<std::int64_t>(end * s.v * 2, 16) * 16;
-          m.ldg_lanes(a.values, Ival(lo), Ival(hi), SpanPattern::kAffine,
-                      "spmm_wmma.values");
-          // B gather: per nonzero, 64 consecutive halves of one row.
-          m.ldg_lanes(b, Ival(n0 * 2),
-                      Ival(static_cast<std::int64_t>(s.k - 1) * s.n * 2 +
-                           n0 * 2 + 128),
-                      SpanPattern::kSegmented, "spmm_wmma.b_gather");
+          const std::int64_t vbase = (begin + i0) * s.v / 8 * 8;
+          const std::int64_t lanes =
+              ceil_div<std::int64_t>((begin + i0 + nc) * s.v - vbase, 8);
+          m.ldg1(a.values, Ival(vbase * 2), 16, 16,
+                 prefix_mask(static_cast<int>(lanes)), "spmm_wmma.values");
+          // B gather: per pass, four 8-lane segments each reading 32
+          // consecutive halves of one gathered row.
+          for (int pass = 0; pass < 8; ++pass) {
+            const int rows = static_cast<int>(
+                std::clamp<std::int64_t>(nc - 4 * (pass % 4), 0, 4));
+            if (rows == 0) continue;
+            const Ival row_base(
+                n0 * 2 + 64 * (pass / 4),
+                static_cast<std::int64_t>(s.k - 1) * s.n * 2 + n0 * 2 +
+                    64 * (pass / 4));
+            m.ldg(b, std::vector<Ival>(4, row_base), 8, 8, 8,
+                  prefix_mask(8 * rows), "spmm_wmma.b_gather");
+          }
         }
-        m.stg_lanes(c, Ival(vr * s.v * s.n * 2 + n0 * 2),
-                    Ival((vr * s.v + s.v - 1) * s.n * 2 + n0 * 2 + 128),
-                    SpanPattern::kSegmented, "spmm_wmma.writeback");
+        // Writeback: one 8-lane segment per output row, 16 B per lane.
+        for (int g = 0; g < ceil_div(s.v * 64, 256); ++g) {
+          std::vector<Ival> bases;
+          for (int t = 4 * g; t < std::min(4 * g + 4, s.v); ++t) {
+            bases.push_back(Ival((vr * s.v + t) * s.n * 2 + n0 * 2));
+          }
+          const int live = static_cast<int>(bases.size());
+          bases.resize(4, Ival(0));
+          m.stg(c, bases, 8, 16, 16, prefix_mask(8 * live),
+                "spmm_wmma.writeback");
+        }
       }
     }
   }
@@ -330,17 +349,21 @@ void spmm_csr_fine(CtaModel& m, const ShapeCorner& s,
         const std::int64_t begin = a.nnzv - cnt;
         m.ldg1(a.row_ptr, Ival(row * 4), 4, 4, 0x3u,
                "spmm_csr_fine.row_ptr");
-        if (cnt > 0) {
-          m.ldg_lanes(a.col_idx, Ival(begin * 4), Ival((begin + cnt) * 4),
-                      SpanPattern::kAffine, "spmm_csr_fine.col_idx");
-          m.ldg_lanes(a.values, Ival(begin * 2), Ival((begin + cnt) * 2),
-                      SpanPattern::kAffine, "spmm_csr_fine.values");
-          // Per nonzero: 32 consecutive halves of one B row — a span
-          // the kernel still walks per-lane.
-          m.ldg_lanes(b, Ival(n0 * 2),
-                      Ival(static_cast<std::int64_t>(s.k - 1) * s.n * 2 +
-                           n0 * 2 + 64),
-                      SpanPattern::kAffine, "spmm_csr_fine.b_row");
+        // The nonzero loop at its first and last 32-wide chunk.
+        const std::int64_t last_i0 = cnt > 0 ? ((cnt - 1) / 32) * 32 : 0;
+        for (std::int64_t i0 : {std::int64_t{0}, last_i0}) {
+          const int nc =
+              static_cast<int>(std::min<std::int64_t>(32, cnt - i0));
+          if (nc <= 0) continue;
+          m.ldg1(a.col_idx, Ival((begin + i0) * 4), 4, 4, prefix_mask(nc),
+                 "spmm_csr_fine.col_idx");
+          m.ldg1(a.values, Ival((begin + i0) * 2), 2, 2, prefix_mask(nc),
+                 "spmm_csr_fine.values");
+          // Per nonzero: 32 consecutive halves of one gathered B row.
+          m.ldg1(b,
+                 Ival(n0 * 2,
+                      static_cast<std::int64_t>(s.k - 1) * s.n * 2 + n0 * 2),
+                 2, 2, 0xFFFFFFFFu, "spmm_csr_fine.b_row");
         }
         m.stg1(c, Ival(row * s.n * 2 + n0 * 2), 2, 2, 0xFFFFFFFFu,
                "spmm_csr_fine.writeback");

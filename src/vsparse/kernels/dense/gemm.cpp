@@ -9,7 +9,6 @@ namespace vsparse::kernels {
 
 namespace {
 
-using gpusim::AddrLanes;
 using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;
@@ -80,7 +79,8 @@ void stage_b_tile(Warp& w, const DenseDevice<half_t>& b, int k0, int n0) {
     }
     w.ldg_span(gbase, 16, 2, 16, frag, 0xFFFFFFFFu);
     // Transpose into smem element-wise: 8 STS.32 per half8 would be the
-    // real pattern; we charge one STS per k-element group.
+    // real pattern; we charge one STS per k-element group (one-lane
+    // segments: the transposed offsets are not affine in the lane).
     for (int e = 0; e < 8; ++e) {
       Lanes<half_t> one;
       Lanes<std::uint32_t> eoff;
@@ -91,7 +91,7 @@ void stage_b_tile(Warp& w, const DenseDevice<half_t>& b, int k0, int n0) {
         const int k = 8 * (lane % 2) + e;
         eoff[static_cast<std::size_t>(lane)] = b_smem_off(k, n);
       }
-      w.sts(eoff, one);
+      w.sts_span(eoff.data(), 32, 1, 0, one);
     }
   }
 }

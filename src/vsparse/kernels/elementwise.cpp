@@ -44,19 +44,16 @@ gpusim::KernelStats stream_transform(gpusim::Device& dev,
       const std::int64_t base =
           (static_cast<std::int64_t>(cta.cta_id()) * 8 + pass) * kChunk;
       if (base >= elems) break;
-      AddrLanes addr{};
+      // Lanes whose full 8-half chunk lies inside the buffer.
+      const std::int64_t lanes =
+          std::min<std::int64_t>(32, (elems - base) / 8);
+      const std::uint32_t mask =
+          lanes >= 32 ? gpusim::kFullMask : (1u << lanes) - 1u;
+      const std::uint64_t addr = buf.addr(static_cast<std::size_t>(base));
       Lanes<half8> frag{};
-      std::uint32_t mask = 0;
-      for (int lane = 0; lane < 32; ++lane) {
-        const std::int64_t idx = base + lane * 8;
-        if (idx + 8 > elems) continue;
-        addr[static_cast<std::size_t>(lane)] =
-            buf.addr(static_cast<std::size_t>(idx));
-        mask |= 1u << lane;
-      }
-      w.ldg(addr, frag, mask);
+      w.ldg_span(addr, 16, frag, mask);
       body(w, base, frag, mask);
-      w.stg(addr, frag, mask);
+      w.stg_span(addr, 16, frag, mask);
     }
   });
 }
@@ -82,7 +79,9 @@ KernelRun bias_add(gpusim::Device& dev, DenseDevice<half_t>& x,
       stream_transform(dev, cfg, x.buf, elems,
                        [&](Warp& w, std::int64_t base, Lanes<half8>& frag,
                            std::uint32_t mask) {
-                         // One extra LDG for the bias slice + 8 HADD.
+                         // One extra LDG for the bias slice + 8 HADD:
+                         // a gather wrapping at row ends (one-lane
+                         // segments).
                          AddrLanes baddr{};
                          Lanes<half8> bfrag{};
                          for (int lane = 0; lane < 32; ++lane) {
@@ -90,7 +89,7 @@ KernelRun bias_add(gpusim::Device& dev, DenseDevice<half_t>& x,
                            baddr[static_cast<std::size_t>(lane)] = bias.addr(
                                static_cast<std::size_t>(idx % cols));
                          }
-                         w.ldg(baddr, bfrag, mask);
+                         w.ldg_span(baddr.data(), 32, 1, 0, bfrag, mask);
                          w.count(Op::kHfma, 8);
                          for (int lane = 0; lane < 32; ++lane) {
                            if (!(mask & (1u << lane))) continue;
@@ -118,15 +117,9 @@ KernelRun residual_add(gpusim::Device& dev, DenseDevice<half_t>& x,
       dev, cfg, x.buf, elems,
       [&](Warp& w, std::int64_t base, Lanes<half8>& frag,
           std::uint32_t mask) {
-        AddrLanes yaddr{};
         Lanes<half8> yfrag{};
-        for (int lane = 0; lane < 32; ++lane) {
-          const std::int64_t idx = base + lane * 8;
-          if (idx + 8 > elems) continue;
-          yaddr[static_cast<std::size_t>(lane)] =
-              y.buf.addr(static_cast<std::size_t>(idx));
-        }
-        w.ldg(yaddr, yfrag, mask);
+        w.ldg_span(y.buf.addr(static_cast<std::size_t>(base)), 16, yfrag,
+                   mask);
         w.count(Op::kHfma, 8);
         for (int lane = 0; lane < 32; ++lane) {
           if (!(mask & (1u << lane))) continue;
@@ -192,16 +185,12 @@ KernelRun layer_norm(gpusim::Device& dev, DenseDevice<half_t>& x,
 
     const auto pass = [&](bool store_pass, auto&& body) {
       for (int c0 = 0; c0 < cols; c0 += kChunk) {
-        AddrLanes addr{};
+        const int lanes = std::min(32, ceil_div(cols - c0, 8));
+        const std::uint32_t mask =
+            lanes >= 32 ? gpusim::kFullMask : (1u << lanes) - 1u;
+        const std::uint64_t addr = x.addr(r, c0);
         Lanes<half8> frag{};
-        std::uint32_t mask = 0;
-        for (int lane = 0; lane < 32; ++lane) {
-          const int cc = c0 + lane * 8;
-          if (cc >= cols) continue;
-          addr[static_cast<std::size_t>(lane)] = x.addr(r, cc);
-          mask |= 1u << lane;
-        }
-        w.ldg(addr, frag, mask);
+        w.ldg_span(addr, 16, frag, mask);
         body(c0, std::min(kChunk, cols - c0));
         if (store_pass) {
           for (int lane = 0; lane < 32; ++lane) {
@@ -212,7 +201,7 @@ KernelRun layer_norm(gpusim::Device& dev, DenseDevice<half_t>& x,
             }
           }
           w.count(Op::kCvt, 8);
-          w.stg(addr, frag, mask);
+          w.stg_span(addr, 16, frag, mask);
         }
       }
     };

@@ -115,7 +115,8 @@ KernelRun sddmm_wmma_warp(gpusim::Device& dev, const DenseDevice<half_t>& a,
 
       // ---- RHS fragment (the 32 B columns), 16 B coalesced ----------
       // Per 4 wmma k-chunks: each lane loads an 8-half piece of one
-      // column; columns are scattered by the sparsity pattern.
+      // column; columns are scattered by the sparsity pattern and vary
+      // with lane%8, so the gather is 32 one-lane segments.
       for (int pass = 0; pass < 8; ++pass) {
         AddrLanes addr{};
         Lanes<half8> d{};
@@ -128,7 +129,7 @@ KernelRun sddmm_wmma_warp(gpusim::Device& dev, const DenseDevice<half_t>& a,
           msk |= 1u << lane;
         }
         w.count(Op::kImad, 1);
-        w.ldg(addr, d, msk);
+        w.ldg_span(addr.data(), 32, 1, 0, d, msk);
         // Round-trip through smem to fix up the 16 B-coalesced layout;
         // the staging slots are consecutive 16 B chunks — affine spans.
         w.sts_span(0, 16, d, msk);

@@ -11,7 +11,6 @@ namespace vsparse::kernels {
 
 namespace {
 
-using gpusim::AddrLanes;
 using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;
@@ -173,7 +172,7 @@ KernelRun spmm_blocked_ell(gpusim::Device& dev, const BlockedEllDevice& a,
           w.lds_span(soff, 8, 4, 8, d, 0xFFFFFFFFu);
         } else {
           // Small blocks clamp both coordinates (divergent pattern):
-          // keep the per-lane op.
+          // one-lane segments.
           Lanes<std::uint32_t> off{};
           Lanes<half4> d;
           for (int lane = 0; lane < 32; ++lane) {
@@ -181,7 +180,7 @@ KernelRun spmm_blocked_ell(gpusim::Device& dev, const BlockedEllDevice& a,
             const int cc = std::min(4 * (lane % 4), blk - 1);
             off[static_cast<std::size_t>(lane)] = block_off(r, cc);
           }
-          w.lds(off, d);
+          w.lds_span(off.data(), 32, 1, 0, d);
         }
         for (int r = 0; r < 8; ++r) {
           const int gr = rt * 8 + r;

@@ -9,7 +9,6 @@ namespace vsparse::kernels {
 
 namespace {
 
-using gpusim::AddrLanes;
 using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;
@@ -51,11 +50,8 @@ KernelRun spmm_csr_fine_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
     const int n0 = (cta.cta_id() / m) * kTileN;
     Warp w = cta.warp(0);
     {
-      AddrLanes addr{};
       Lanes<std::int32_t> d{};
-      addr[0] = a.row_ptr.addr(static_cast<std::size_t>(row));
-      addr[1] = a.row_ptr.addr(static_cast<std::size_t>(row) + 1);
-      w.ldg(addr, d, 0x3u);
+      w.ldg_span(a.row_ptr.addr(static_cast<std::size_t>(row)), 4, d, 0x3u);
       w.count(Op::kImad, 3);
     }
     const std::int32_t begin = row_ptr[static_cast<std::size_t>(row)];
@@ -65,24 +61,15 @@ KernelRun spmm_csr_fine_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
 
     for (std::int32_t i0 = begin; i0 < end; i0 += 32) {
       const int cnt = std::min<std::int32_t>(32, end - i0);
-      // Gather indices + values for up to 32 nonzeros (coalesced).
+      // Indices + values for up to 32 nonzeros (coalesced).
       {
-        AddrLanes addr{};
         Lanes<std::int32_t> d{};
         std::uint32_t mask = cnt >= 32 ? gpusim::kFullMask
                                        : ((1u << cnt) - 1u);
-        for (int l = 0; l < cnt; ++l) {
-          addr[static_cast<std::size_t>(l)] =
-              a.col_idx.addr(static_cast<std::size_t>(i0 + l));
-        }
-        w.ldg(addr, d, mask);
-        AddrLanes vaddr{};
+        w.ldg_span(a.col_idx.addr(static_cast<std::size_t>(i0)), 4, d, mask);
         Lanes<T> vals{};
-        for (int l = 0; l < cnt; ++l) {
-          vaddr[static_cast<std::size_t>(l)] =
-              a.values.addr(static_cast<std::size_t>(i0 + l));
-        }
-        w.ldg(vaddr, vals, mask);
+        w.ldg_span(a.values.addr(static_cast<std::size_t>(i0)), sizeof(T),
+                   vals, mask);
         w.count(Op::kImad, 2);
       }
       // Serialized walk: per nonzero, every lane loads B[k][n0+lane].
@@ -90,13 +77,9 @@ KernelRun spmm_csr_fine_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
         const std::int32_t col = col_host[static_cast<std::size_t>(i0 + j)];
         const float av =
             static_cast<float>(val_host[static_cast<std::size_t>(i0 + j)]);
-        AddrLanes addr{};
         Lanes<T> brow{};
-        for (int lane = 0; lane < 32; ++lane) {
-          addr[static_cast<std::size_t>(lane)] = b.addr(col, n0 + lane);
-        }
         w.count(Op::kImad, 1);
-        w.ldg(addr, brow);
+        w.ldg_span(b.addr(col, n0), sizeof(T), brow);
         if constexpr (sizeof(T) == 2) {
           w.count(Op::kHfma, 1);
           w.count(Op::kFfma, 1);
@@ -112,13 +95,11 @@ KernelRun spmm_csr_fine_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
 
     // Writeback: one element per lane.
     if constexpr (sizeof(T) == 2) w.count(Op::kCvt, 1);
-    AddrLanes addr{};
     Lanes<T> out{};
     for (int lane = 0; lane < 32; ++lane) {
-      addr[static_cast<std::size_t>(lane)] = c.addr(row, n0 + lane);
       out[static_cast<std::size_t>(lane)] = T(acc[lane]);
     }
-    w.stg(addr, out);
+    w.stg_span(c.addr(row, n0), sizeof(T), out);
   }, sim);
 
   return {stats, cfg};

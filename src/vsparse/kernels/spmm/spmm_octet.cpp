@@ -12,7 +12,6 @@ namespace vsparse::kernels {
 
 namespace {
 
-using gpusim::AddrLanes;
 using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;

@@ -10,7 +10,6 @@ namespace vsparse::kernels {
 
 namespace {
 
-using gpusim::AddrLanes;
 using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;
@@ -58,11 +57,8 @@ KernelRun spmm_wmma_warp(gpusim::Device& dev, const CvsDevice& a,
     Warp w = cta.warp(0);
 
     {
-      AddrLanes addr{};
       Lanes<std::int32_t> d{};
-      addr[0] = a.row_ptr.addr(static_cast<std::size_t>(vr));
-      addr[1] = a.row_ptr.addr(static_cast<std::size_t>(vr) + 1);
-      w.ldg(addr, d, 0x3u);
+      w.ldg_span(a.row_ptr.addr(static_cast<std::size_t>(vr)), 4, d, 0x3u);
       w.count(Op::kImad, 3);
     }
     const std::int32_t begin = row_ptr[static_cast<std::size_t>(vr)];
@@ -77,15 +73,9 @@ KernelRun spmm_wmma_warp(gpusim::Device& dev, const CvsDevice& a,
 
       // ---- load 16 column indices (LDG.32, <=16 lanes) ---------------
       {
-        AddrLanes addr{};
         Lanes<std::int32_t> d{};
-        std::uint32_t mask = 0;
-        for (int l = 0; l < cnt; ++l) {
-          addr[static_cast<std::size_t>(l)] =
-              a.col_idx.addr(static_cast<std::size_t>(i0 + l));
-          mask |= 1u << l;
-        }
-        w.ldg(addr, d, mask);
+        w.ldg_span(a.col_idx.addr(static_cast<std::size_t>(i0)), 4, d,
+                   (1u << cnt) - 1u);
         w.count(Op::kImad, 2);
       }
 
@@ -93,22 +83,17 @@ KernelRun spmm_wmma_warp(gpusim::Device& dev, const CvsDevice& a,
       // Contiguous in CVS storage: ceil(cnt*v/8) lanes of LDG.128-class
       // loads; small, so a single request.
       {
-        AddrLanes addr{};
         Lanes<half8> d{};
-        std::uint32_t mask = 0;
         // Align the vector loads down to a 16 B boundary (the hardware
         // requirement LDG.128 imposes on the real kernel too).
         const std::int64_t vbase =
             round_down<std::int64_t>(static_cast<std::int64_t>(i0) * v, 8);
         const int lanes_needed = static_cast<int>(ceil_div<std::int64_t>(
             static_cast<std::int64_t>(i0 + cnt) * v - vbase, 8));
-        for (int l = 0; l < std::min(lanes_needed, 32); ++l) {
-          addr[static_cast<std::size_t>(l)] =
-              a.values.addr(static_cast<std::size_t>(vbase) +
-                            static_cast<std::size_t>(l) * 8);
-          mask |= 1u << l;
-        }
-        w.ldg(addr, d, mask);
+        const std::uint32_t mask =
+            lanes_needed >= 32 ? gpusim::kFullMask : (1u << lanes_needed) - 1u;
+        w.ldg_span(a.values.addr(static_cast<std::size_t>(vbase)), 16, d,
+                   mask);
       }
 
       // Assemble the logical LHS tile (8 x 16, zero-padded rows/k).
@@ -124,22 +109,22 @@ KernelRun spmm_wmma_warp(gpusim::Device& dev, const CvsDevice& a,
 
       // ---- load the 16 x 64 B fragment with the CLASSIC layout -------
       // Fig. 10: each lane holds 4 consecutive halves of one B row
-      // (LDG.64), 8 lanes per row => 64 B coalesced at best.
+      // (LDG.64), 8 lanes per row => 64 B coalesced at best: four 8-lane
+      // segments, one per gathered fragment row.
       half_t bfrag[16][kTileN] = {};
       for (int pass = 0; pass < 8; ++pass) {
-        AddrLanes addr{};
-        Lanes<half4> d{};
+        std::uint64_t gbase[4] = {};
         std::uint32_t mask = 0;
-        for (int lane = 0; lane < 32; ++lane) {
-          const int j = 4 * (pass % 4) + lane / 8;  // fragment row
-          const int nn = 32 * (pass / 4) + 4 * (lane % 8);
+        for (int seg = 0; seg < 4; ++seg) {
+          const int j = 4 * (pass % 4) + seg;  // fragment row
           if (j >= cnt) continue;
           const std::int32_t col = col_host[static_cast<std::size_t>(i0 + j)];
-          addr[static_cast<std::size_t>(lane)] = b.addr(col, n0 + nn);
-          mask |= 1u << lane;
+          gbase[seg] = b.addr(col, n0 + 32 * (pass / 4));
+          mask |= 0xFFu << (8 * seg);
         }
+        Lanes<half4> d{};
         w.count(Op::kImad, 1);
-        w.ldg(addr, d, mask);
+        w.ldg_span(gbase, 4, 8, 8, d, mask);
         for (int lane = 0; lane < 32; ++lane) {
           if (!(mask & (1u << lane))) continue;
           const int j = 4 * (pass % 4) + lane / 8;
@@ -169,22 +154,24 @@ KernelRun spmm_wmma_warp(gpusim::Device& dev, const CvsDevice& a,
 
     // ---- writeback ----------------------------------------------------
     w.count(Op::kCvt, static_cast<std::uint64_t>(v * kTileN / 32));
+    // Each 8-lane segment writes one 64-half output row at 16 B/lane.
     for (int g = 0; g < ceil_div(v * kTileN, 32 * 8); ++g) {
-      AddrLanes addr{};
+      std::uint64_t gbase[4] = {};
       Lanes<half8> frag{};
       std::uint32_t mask = 0;
-      for (int lane = 0; lane < 32; ++lane) {
-        const int flat = (g * 32 + lane) * 8;
-        const int t = flat / kTileN;
+      for (int seg = 0; seg < 4; ++seg) {
+        const int t = 4 * g + seg;
         if (t >= v) continue;
-        const int nn = flat % kTileN;
-        addr[static_cast<std::size_t>(lane)] = c.addr(vr * v + t, n0 + nn);
-        for (int e = 0; e < 8; ++e) {
-          frag[static_cast<std::size_t>(lane)][e] = half_t(acc[t][nn + e]);
+        gbase[seg] = c.addr(vr * v + t, n0);
+        for (int l = 0; l < 8; ++l) {
+          for (int e = 0; e < 8; ++e) {
+            frag[static_cast<std::size_t>(8 * seg + l)][e] =
+                half_t(acc[t][8 * l + e]);
+          }
         }
-        mask |= 1u << lane;
+        mask |= 0xFFu << (8 * seg);
       }
-      w.stg(addr, frag, mask);
+      w.stg_span(gbase, 4, 8, 16, frag, mask);
     }
     (void)row_ptr;
   }, sim);

@@ -56,22 +56,22 @@ TEST_P(CoalescingSweep, SectorCountMatchesClosedForm) {
     switch (width) {
       case 2: {
         Lanes<half_t> d;
-        w.ldg(addr, d);
+        w.ldg_span(addr.data(), 32, 1, 0, d);
         break;
       }
       case 4: {
         Lanes<float> d;
-        w.ldg(addr, d);
+        w.ldg_span(addr.data(), 32, 1, 0, d);
         break;
       }
       case 8: {
         Lanes<half4> d;
-        w.ldg(addr, d);
+        w.ldg_span(addr.data(), 32, 1, 0, d);
         break;
       }
       default: {
         Lanes<half8> d;
-        w.ldg(addr, d);
+        w.ldg_span(addr.data(), 32, 1, 0, d);
         break;
       }
     }
@@ -111,8 +111,8 @@ TEST_P(ReuseSweep, ImmediateReuseAlwaysHits) {
           buf.addr(static_cast<std::size_t>(lane) *
                    static_cast<std::size_t>(stride));
     }
-    w.ldg(addr, d);
-    w.ldg(addr, d);
+    w.ldg_span(addr.data(), 32, 1, 0, d);
+    w.ldg_span(addr.data(), 32, 1, 0, d);
   });
   EXPECT_EQ(s.l1_sector_hits, s.global_load_sectors / 2) << stride;
 }
@@ -148,7 +148,7 @@ TEST(CoalescingRandom, SectorBoundsHold) {
         mask = 1;
         active = 1;
       }
-      w.ldg(addr, d, mask);
+      w.ldg_span(addr.data(), 32, 1, 0, d, mask);
       EXPECT_LE(active, 32);
     });
     EXPECT_LE(s.global_load_sectors, 32u);

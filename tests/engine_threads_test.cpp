@@ -287,90 +287,66 @@ TEST(ShardedCache, InvalidateSectorMatchesSectorCache) {
 }
 
 // ---------------------------------------------------------------------
-// Span-vs-per-lane equivalence corpus (DESIGN.md §2h): the descriptor
-// forms must be bit- and counter-identical to the hand-expanded
-// per-lane forms for uniform, affine, and segmented patterns — on the
-// serial engine, across thread counts, and under fault injection
-// (where spans self-divert onto the per-lane path).
+// Span corpus golden pins (DESIGN.md §2h): both forms of the corpus —
+// stated descriptors and one-lane segments — must reproduce the output
+// bits and counters the per-lane ops produced, serially, across thread
+// counts, and under fault injection.
 
-void expect_corpus_equal(const gpusim::SpanCorpusRun& span,
-                         const gpusim::SpanCorpusRun& lane,
-                         const char* what) {
-  ASSERT_EQ(span.dst_bits.size(), lane.dst_bits.size());
-  for (std::size_t i = 0; i < span.dst_bits.size(); ++i) {
-    ASSERT_EQ(span.dst_bits[i], lane.dst_bits[i])
-        << what << ": output half " << i << " differs";
-  }
-  EXPECT_TRUE(gpusim::counters_equal(span.total, lane.total))
-      << what << ": merged counters differ\nspan:\n"
-      << span.total.to_string() << "\nper-lane:\n" << lane.total.to_string();
-  ASSERT_EQ(span.per_sm.size(), lane.per_sm.size());
-  for (std::size_t sm = 0; sm < span.per_sm.size(); ++sm) {
-    EXPECT_TRUE(gpusim::counters_equal(span.per_sm[sm], lane.per_sm[sm]))
-        << what << ": per-SM counters differ on SM " << sm;
-  }
+void expect_pinned(const gpusim::SpanCorpusRun& run,
+                   const gpusim::CorpusPin& pin, bool one_lane,
+                   const char* what) {
+  const char* form = one_lane ? "one-lane segments" : "span descriptors";
+  const gpusim::CorpusPin got = gpusim::corpus_pin(run);
+  EXPECT_EQ(got.dst_bits, pin.dst_bits) << what << ", " << form
+                                        << ": output bits differ";
+  EXPECT_EQ(got.total, pin.total)
+      << what << ", " << form << ": merged counters differ\n"
+      << run.total.to_string();
+  EXPECT_EQ(got.per_sm, pin.per_sm)
+      << what << ", " << form << ": per-SM counters differ";
 }
 
 TEST(SpanCorpus, BitAndCounterIdenticalToPerLaneSerial) {
-  gpusim::Device dspan(test_config());
-  gpusim::Device dlane(test_config());
-  const auto span = run_span_corpus(dspan, true, {.threads = 1});
-  const auto lane = run_span_corpus(dlane, false, {.threads = 1});
-  expect_corpus_equal(span, lane, "serial");
+  for (bool one_lane : {false, true}) {
+    gpusim::Device dev(test_config());
+    expect_pinned(run_span_corpus(dev, one_lane, {.threads = 1}),
+                  gpusim::kCorpusPinPlain, one_lane, "serial");
+  }
 }
 
 TEST(SpanCorpus, ThreadInvariantAndEqualToPerLaneAtEveryThreadCount) {
-  gpusim::Device dbase(test_config());
-  const auto base = run_span_corpus(dbase, true, {.threads = 1});
   for (int threads : {2, 8}) {
-    gpusim::Device dspan(test_config());
-    gpusim::Device dlane(test_config());
-    const auto span = run_span_corpus(dspan, true, {.threads = threads});
-    const auto lane = run_span_corpus(dlane, false, {.threads = threads});
-    expect_corpus_equal(span, lane, "threaded");
-    // The span run itself honors the engine determinism contract:
-    // outputs and per-SM counters bit-equal to the serial run.
-    ASSERT_EQ(base.dst_bits, span.dst_bits) << "threads=" << threads;
-    ASSERT_EQ(base.per_sm.size(), span.per_sm.size());
-    for (std::size_t sm = 0; sm < base.per_sm.size(); ++sm) {
-      EXPECT_TRUE(base.per_sm[sm].sm_local_equal(span.per_sm[sm]))
-          << "per-SM counters differ on SM " << sm << " at threads="
-          << threads;
+    for (bool one_lane : {false, true}) {
+      gpusim::Device dev(test_config());
+      expect_pinned(run_span_corpus(dev, one_lane, {.threads = threads}),
+                    gpusim::kCorpusPinPlain, one_lane,
+                    threads == 2 ? "threads=2" : "threads=8");
     }
   }
 }
 
 TEST(SpanCorpus, EquivalentUnderFaultInjection) {
-  // A sticky DRAM-read upset inside the affine pattern's footprint
-  // forces every span op to divert onto the per-lane path; results and
-  // counters must still match the hand-expanded run under the same
-  // plan.
-  const auto run_faulted = [&](bool use_span) {
+  // A sticky DRAM-read upset inside the affine pattern's footprint: the
+  // span ops run their fault hooks lane by lane, and results and
+  // counters must match the pinned per-lane run under the same plan.
+  for (bool one_lane : {false, true}) {
+    gpusim::Device probe(test_config());
+    const auto probed = run_span_corpus(probe, one_lane, {.threads = 1});
     gpusim::Device dev(test_config());
     gpusim::FaultPlan plan(7);
     gpusim::FaultTarget t;
     t.site = gpusim::FaultSite::kDramRead;
-    // src halves are allocated first at a deterministic arena offset;
-    // target a byte inside the affine pattern of CTA 0 (halves 32..71).
-    t.addr = 0;  // patched below once the buffer exists
-    // Allocate via the corpus itself: run once to learn the address,
-    // then target it.  Addresses are deterministic per fresh device.
-    gpusim::Device probe(test_config());
-    const auto probed = run_span_corpus(probe, use_span, {.threads = 1});
     t.addr = probed.src_addr + 2 * 40;  // half #40: inside the prefix
     t.bit = 3;
     t.sticky = true;
     plan.add_target(t);
     dev.set_fault_plan(&plan);
-    return run_span_corpus(dev, use_span, {.threads = 1});
-  };
-  const auto span = run_faulted(true);
-  const auto lane = run_faulted(false);
-  expect_corpus_equal(span, lane, "faulted");
-  // The upset must actually have landed (the corpus reads half #40).
-  gpusim::Device clean(test_config());
-  const auto unfaulted = run_span_corpus(clean, true, {.threads = 1});
-  EXPECT_NE(span.dst_bits, unfaulted.dst_bits);
+    const auto faulted = run_span_corpus(dev, one_lane, {.threads = 1});
+    expect_pinned(faulted, gpusim::kCorpusPinFaulted, one_lane, "faulted");
+    // The upset must actually have landed (the corpus reads half #40).
+    EXPECT_NE(gpusim::corpus_pin(faulted).dst_bits,
+              gpusim::kCorpusPinPlain.dst_bits);
+  }
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "vsparse/fp16/vec.hpp"
 #include "vsparse/gpusim/device.hpp"
+#include "vsparse/gpusim/trace/counters.hpp"
 
 namespace vsparse::gpusim {
 namespace {
@@ -119,7 +122,7 @@ TEST(WarpMemory, LdgMovesDataAndCountsWidth) {
       addr[static_cast<std::size_t>(lane)] =
           buf.addr(static_cast<std::size_t>(lane));
     }
-    w.ldg(addr, got);
+    w.ldg_span(addr.data(), 32, 1, 0, got);
   });
   for (int lane = 0; lane < 32; ++lane) {
     EXPECT_EQ(got[static_cast<std::size_t>(lane)],
@@ -145,7 +148,7 @@ TEST(WarpMemory, Ldg128Coalescing) {
       addr[static_cast<std::size_t>(lane)] =
           buf.addr(static_cast<std::size_t>(lane));
     }
-    w.ldg(addr, dst);
+    w.ldg_span(addr.data(), 32, 1, 0, dst);
   });
   EXPECT_EQ(s.ldg128, 1u);
   EXPECT_EQ(s.global_load_sectors, 16u);
@@ -166,7 +169,7 @@ TEST(WarpMemory, StridedAccessWastesSectors) {
       addr[static_cast<std::size_t>(lane)] =
           buf.addr(static_cast<std::size_t>(lane) * 16);
     }
-    w.ldg(addr, dst);
+    w.ldg_span(addr.data(), 32, 1, 0, dst);
   });
   EXPECT_EQ(s.ldg16, 1u);
   EXPECT_EQ(s.global_load_sectors, 32u);
@@ -181,7 +184,7 @@ TEST(WarpMemory, BroadcastLoadIsSingleSector) {
     AddrLanes addr;
     Lanes<float> dst;
     addr.fill(buf.addr());
-    w.ldg(addr, dst);
+    w.ldg_span(addr.data(), 32, 1, 0, dst);
   });
   EXPECT_EQ(s.global_load_sectors, 1u);
 }
@@ -198,7 +201,7 @@ TEST(WarpMemory, PredicatedLanesDoNotTouchMemory) {
       addr[static_cast<std::size_t>(lane)] = 1 << 30;  // way out of bounds
     }
     Lanes<float> dst{};
-    w.ldg(addr, dst, 0x1u);
+    w.ldg_span(addr.data(), 32, 1, 0, dst, 0x1u);
   });
   EXPECT_EQ(s.global_load_sectors, 1u);
 }
@@ -215,8 +218,8 @@ TEST(WarpMemory, L1HitsOnReuse) {
       addr[static_cast<std::size_t>(lane)] =
           buf.addr(static_cast<std::size_t>(lane));
     }
-    w.ldg(addr, dst);
-    w.ldg(addr, dst);
+    w.ldg_span(addr.data(), 32, 1, 0, dst);
+    w.ldg_span(addr.data(), 32, 1, 0, dst);
   });
   EXPECT_EQ(s.l1_sector_misses, 4u);
   EXPECT_EQ(s.l1_sector_hits, 4u);
@@ -235,7 +238,7 @@ TEST(WarpMemory, L1FlushedBetweenLaunchesL2Persists) {
       addr[static_cast<std::size_t>(lane)] =
           buf.addr(static_cast<std::size_t>(lane));
     }
-    w.ldg(addr, dst);
+    w.ldg_span(addr.data(), 32, 1, 0, dst);
   };
   launch(dev, cfg, body);
   KernelStats s2 = launch(dev, cfg, body);
@@ -260,9 +263,9 @@ TEST(WarpMemory, StoreVisibleToSubsequentLoad) {
     for (int lane = 0; lane < 32; ++lane) {
       vals[static_cast<std::size_t>(lane)] = static_cast<float>(lane * 2);
     }
-    w.ldg(addr, got);  // pull into L1 first to exercise store coherence
-    w.stg(addr, vals);
-    w.ldg(addr, got);
+    w.ldg_span(addr.data(), 32, 1, 0, got);  // pull into L1 first to exercise store coherence
+    w.stg_span(addr.data(), 32, 1, 0, vals);
+    w.ldg_span(addr.data(), 32, 1, 0, got);
   });
   for (int lane = 0; lane < 32; ++lane) {
     EXPECT_EQ(got[static_cast<std::size_t>(lane)], static_cast<float>(lane * 2));
@@ -283,9 +286,9 @@ TEST(SharedMemory, RoundTripAndCounters) {
       off[static_cast<std::size_t>(lane)] = static_cast<std::uint32_t>(lane) * 4;
       vals[static_cast<std::size_t>(lane)] = static_cast<float>(lane) + 0.5f;
     }
-    w.sts(off, vals);
+    w.sts_span(off.data(), 32, 1, 0, vals);
     cta.sync();
-    w.lds(off, got);
+    w.lds_span(off.data(), 32, 1, 0, got);
   });
   for (int lane = 0; lane < 32; ++lane) {
     EXPECT_EQ(got[static_cast<std::size_t>(lane)],
@@ -311,7 +314,7 @@ TEST(SharedMemory, BankConflictsExpandWavefronts) {
       off[static_cast<std::size_t>(lane)] =
           static_cast<std::uint32_t>(lane) * 128;
     }
-    w.lds(off, dst);
+    w.lds_span(off.data(), 32, 1, 0, dst);
   });
   EXPECT_EQ(s.smem_wavefronts, 32u);
 }
@@ -325,7 +328,7 @@ TEST(SharedMemory, SameWordBroadcastsWithoutConflict) {
     Lanes<std::uint32_t> off;
     off.fill(64);
     Lanes<float> dst;
-    w.lds(off, dst);
+    w.lds_span(off.data(), 32, 1, 0, dst);
   });
   EXPECT_EQ(s.smem_wavefronts, 1u);
 }
@@ -340,9 +343,57 @@ TEST(SharedMemory, OutOfBoundsThrows) {
                         Lanes<std::uint32_t> off{};
                         off[0] = 61;  // 61 + 4 > 64
                         Lanes<float> dst;
-                        w.lds(off, dst, 0x1u);
+                        w.lds_span(off.data(), 32, 1, 0, dst, 0x1u);
                       }),
                CheckError);
+}
+
+TEST(SharedMemory, OneLaneSegmentOutOfBoundsNamesFirstOffendingLane) {
+  // Lanes 0-2 are in bounds; lanes 3 and 5 are past the 64 B arena.
+  // Both ops throw for lane 3's offset after storing/loading the lanes
+  // before it, having charged the instruction and its request and
+  // nothing else — what the per-lane shared-memory ops did.
+  Device dev(small_config());
+  LaunchConfig cfg;
+  cfg.smem_bytes = 64;
+  launch(dev, cfg, [&](Cta& cta) {
+    Warp w = cta.warp(0);
+    Lanes<std::uint32_t> off{};
+    const std::uint32_t lane_off[6] = {0, 4, 8, 64, 12, 96};
+    for (int l = 0; l < 6; ++l) off[static_cast<std::size_t>(l)] = lane_off[l];
+    Lanes<float> v{};
+    for (int l = 0; l < 32; ++l) v[static_cast<std::size_t>(l)] = 1.5f + l;
+
+    KernelStats expect = cta.stats();
+    try {
+      w.sts_span(off.data(), 32, 1, 0, v, 0x3Fu);
+      ADD_FAILURE() << "out-of-bounds sts_span must throw";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("smem OOB store at offset 64"),
+                std::string::npos)
+          << e.what();
+    }
+    expect.op(Op::kSts) += 1;
+    expect.smem_store_requests += 1;
+    EXPECT_TRUE(counters_equal(cta.stats(), expect)) << cta.stats();
+    float stored[3];
+    std::memcpy(stored, cta.smem(), sizeof(stored));
+    EXPECT_EQ(stored[0], 1.5f);
+    EXPECT_EQ(stored[1], 2.5f);
+    EXPECT_EQ(stored[2], 3.5f);
+
+    try {
+      w.lds_span(off.data(), 32, 1, 0, v, 0x3Fu);
+      ADD_FAILURE() << "out-of-bounds lds_span must throw";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("smem OOB load at offset 64"),
+                std::string::npos)
+          << e.what();
+    }
+    expect.op(Op::kLds) += 1;
+    expect.smem_load_requests += 1;
+    EXPECT_TRUE(counters_equal(cta.stats(), expect)) << cta.stats();
+  });
 }
 
 TEST(Shuffle, ArbitraryPermutationAndXor) {

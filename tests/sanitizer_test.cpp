@@ -105,8 +105,8 @@ TEST(Sanitizer, InterWarpRawRaceFiresOnce) {
       Lanes<std::int32_t> data{};
       // Warp 0 stores, warp 1 loads the same word with no barrier in
       // between: a classic inter-warp RAW shared-memory race.
-      cta.warp(0).sts(off, data, 0x1u);
-      cta.warp(1).lds(off, data, 0x1u);
+      cta.warp(0).sts_span(off.data(), 32, 1, 0, data, 0x1u);
+      cta.warp(1).lds_span(off.data(), 32, 1, 0, data, 0x1u);
     };
   });
   ASSERT_EQ(record.reports.size(), 1u);
@@ -137,11 +137,11 @@ TEST(Sanitizer, MissingBarrierInDoubleBufferIsRacy) {
     Lanes<std::uint32_t> buf1{};
     for (auto& o : buf1) o = 64;
     Lanes<std::int32_t> data{};
-    cta.warp(0).sts(buf0, data, 0x1u);
+    cta.warp(0).sts_span(buf0.data(), 32, 1, 0, data, 0x1u);
     cta.sync();
-    cta.warp(1).lds(buf0, data, 0x1u);  // epoch 1: safe
-    cta.warp(0).sts(buf1, data, 0x1u);  // refill...
-    cta.warp(1).lds(buf1, data, 0x1u);  // ...consumed without a barrier
+    cta.warp(1).lds_span(buf0.data(), 32, 1, 0, data, 0x1u);  // epoch 1: safe
+    cta.warp(0).sts_span(buf1.data(), 32, 1, 0, data, 0x1u);  // refill...
+    cta.warp(1).lds_span(buf1.data(), 32, 1, 0, data, 0x1u);  // ...consumed without a barrier
   };
   const auto record =
       run_seeded(cfg, all_tools(),
@@ -157,12 +157,12 @@ TEST(Sanitizer, MissingBarrierInDoubleBufferIsRacy) {
     Lanes<std::uint32_t> buf1{};
     for (auto& o : buf1) o = 64;
     Lanes<std::int32_t> data{};
-    cta.warp(0).sts(buf0, data, 0x1u);
+    cta.warp(0).sts_span(buf0.data(), 32, 1, 0, data, 0x1u);
     cta.sync();
-    cta.warp(1).lds(buf0, data, 0x1u);
-    cta.warp(0).sts(buf1, data, 0x1u);
+    cta.warp(1).lds_span(buf0.data(), 32, 1, 0, data, 0x1u);
+    cta.warp(0).sts_span(buf1.data(), 32, 1, 0, data, 0x1u);
     cta.sync();
-    cta.warp(1).lds(buf1, data, 0x1u);
+    cta.warp(1).lds_span(buf1.data(), 32, 1, 0, data, 0x1u);
   };
   const auto clean =
       run_seeded(cfg, all_tools(), [&](Device&) { return body_fixed; });
@@ -183,10 +183,10 @@ TEST(Sanitizer, WarAndWawRacesDetected) {
           Lanes<std::uint32_t> off2{};
           for (auto& o : off2) o = 32;
           Lanes<std::int32_t> data{};
-          cta.warp(1).lds(off, data, 0x1u);   // reader...
-          cta.warp(0).sts(off, data, 0x1u);   // ...overwritten: WAR
-          cta.warp(0).sts(off2, data, 0x1u);  // writer...
-          cta.warp(1).sts(off2, data, 0x1u);  // ...overwritten: WAW
+          cta.warp(1).lds_span(off.data(), 32, 1, 0, data, 0x1u);   // reader...
+          cta.warp(0).sts_span(off.data(), 32, 1, 0, data, 0x1u);   // ...overwritten: WAR
+          cta.warp(0).sts_span(off2.data(), 32, 1, 0, data, 0x1u);  // writer...
+          cta.warp(1).sts_span(off2.data(), 32, 1, 0, data, 0x1u);  // ...overwritten: WAW
         };
       });
   ASSERT_EQ(record.reports.size(), 2u);
@@ -240,7 +240,7 @@ TEST(Sanitizer, UninitSmemReadFiresOnce) {
       Lanes<std::uint32_t> off{};
       for (auto& o : off) o = 16;
       Lanes<std::int32_t> data{};
-      cta.warp(0).lds(off, data, 0x3u);  // nothing ever stored there
+      cta.warp(0).lds_span(off.data(), 32, 1, 0, data, 0x3u);  // nothing ever stored there
     };
   });
   ASSERT_EQ(record.reports.size(), 1u);
@@ -268,7 +268,7 @@ TEST(Sanitizer, GlobalRedZoneReadFiresOnce) {
       AddrLanes addr{};
       addr[0] = gap;
       Lanes<std::int32_t> dst{};
-      cta.warp(0).ldg(addr, dst, 0x1u);
+      cta.warp(0).ldg_span(addr.data(), 32, 1, 0, dst, 0x1u);
     };
   });
   ASSERT_EQ(record.reports.size(), 1u);
@@ -292,7 +292,7 @@ TEST(Sanitizer, UseAfterFreeDetected) {
       AddrLanes addr{};
       addr[0] = addr0;
       Lanes<std::int32_t> dst{};
-      cta.warp(0).ldg(addr, dst, 0x1u);
+      cta.warp(0).ldg_span(addr.data(), 32, 1, 0, dst, 0x1u);
     };
   });
   ASSERT_EQ(record.reports.size(), 1u);
@@ -312,7 +312,7 @@ TEST(Sanitizer, SmemOobReportedThenLaunchAborts) {
           Lanes<std::uint32_t> off{};
           for (auto& o : off) o = 32;  // first byte past the window
           Lanes<std::int32_t> data{};
-          cta.warp(0).lds(off, data, 0x1u);
+          cta.warp(0).lds_span(off.data(), 32, 1, 0, data, 0x1u);
         };
       },
       /*expect_abort=*/true);
@@ -340,7 +340,7 @@ TEST(Sanitizer, ToolGatingFiltersKinds) {
         return [](Cta& cta) {
           Lanes<std::uint32_t> off{};
           Lanes<std::int32_t> data{};
-          cta.warp(0).lds(off, data, 0x1u);
+          cta.warp(0).lds_span(off.data(), 32, 1, 0, data, 0x1u);
         };
       });
   EXPECT_EQ(record.reports.size(), 0u);
@@ -359,8 +359,8 @@ TEST(Sanitizer, ReportCapCountsSuppressed) {
       Lanes<std::uint32_t> b{};
       for (auto& o : b) o = 32;
       Lanes<std::int32_t> data{};
-      cta.warp(0).lds(a, data, 0x1u);  // uninit #1: kept
-      cta.warp(0).lds(b, data, 0x1u);  // uninit #2: over the cap
+      cta.warp(0).lds_span(a.data(), 32, 1, 0, data, 0x1u);  // uninit #1: kept
+      cta.warp(0).lds_span(b.data(), 32, 1, 0, data, 0x1u);  // uninit #2: over the cap
     };
   });
   EXPECT_EQ(record.reports.size(), 1u);
@@ -382,7 +382,7 @@ TEST(Sanitizer, HazardsMirrorIntoTraceStream) {
   launch(dev, cfg, [](Cta& cta) {
     Lanes<std::uint32_t> off{};
     Lanes<std::int32_t> data{};
-    cta.warp(0).lds(off, data, 0x1u);
+    cta.warp(0).lds_span(off.data(), 32, 1, 0, data, 0x1u);
   }, sim);
   ASSERT_EQ(trace.launches().size(), 1u);
   const auto& events = trace.launches()[0].events;
@@ -540,49 +540,47 @@ TEST(SanitizerSweep, ShippedSddmmCleanOnSuiteShapes) {
 }
 
 // ---------------------------------------------------------------------
-// Span ops under the sanitizer (DESIGN.md §2h): with any tool armed a
-// span op self-diverts onto the per-lane path, so the sanitizer sees
-// the exact per-lane access sequence.  A clean span corpus must report
-// nothing, and the diversion must not perturb results or counters —
-// neither against the unsanitized span run nor against a sanitized
-// hand-expanded per-lane run.
+// Span ops under the sanitizer (DESIGN.md §2h): the hooks consume the
+// span descriptor and walk its lanes, so the sanitizer sees the exact
+// per-lane access sequence.  A clean span corpus must report nothing in
+// either form, and sanitizing must not perturb results or counters —
+// both forms reproduce the pinned per-lane run.
 
 TEST(SanitizerSpan, CorpusCleanAndUnperturbedUnderAllTools) {
-  const auto run_once = [&](bool use_span, Sanitizer* sink) {
-    Device dev(test_config(4));
-    SimOptions sim;
-    sim.threads = 1;
-    if (sink != nullptr) {
-      sim.sanitize = all_tools();
-      sim.sanitize.sink = sink;
-    }
-    return run_span_corpus(dev, use_span, sim);
-  };
+  for (bool one_lane : {false, true}) {
+    const auto run_once = [&](Sanitizer* sink) {
+      Device dev(test_config(4));
+      SimOptions sim;
+      sim.threads = 1;
+      if (sink != nullptr) {
+        sim.sanitize = all_tools();
+        sim.sanitize.sink = sink;
+      }
+      return run_span_corpus(dev, one_lane, sim);
+    };
 
-  Sanitizer span_sink;
-  Sanitizer lane_sink;
-  const auto span_off = run_once(true, nullptr);
-  const auto span_on = run_once(true, &span_sink);
-  const auto lane_on = run_once(false, &lane_sink);
+    Sanitizer sink;
+    const auto off = run_once(nullptr);
+    const auto on = run_once(&sink);
 
-  // Zero reports on every tool for the span run.
-  ASSERT_EQ(span_sink.launches().size(), 1u);
-  EXPECT_EQ(span_sink.launches()[0].kernel, "span_corpus");
-  EXPECT_EQ(span_sink.num_reports(), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kRace), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kSync), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kInit), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kBounds), 0u);
-  EXPECT_EQ(lane_sink.num_reports(), 0u);
+    // Zero reports on every tool.
+    ASSERT_EQ(sink.launches().size(), 1u);
+    EXPECT_EQ(sink.launches()[0].kernel,
+              one_lane ? "lane_corpus" : "span_corpus");
+    EXPECT_EQ(sink.num_reports(), 0u);
+    EXPECT_EQ(sink.num_reports(SanitizerTool::kRace), 0u);
+    EXPECT_EQ(sink.num_reports(SanitizerTool::kSync), 0u);
+    EXPECT_EQ(sink.num_reports(SanitizerTool::kInit), 0u);
+    EXPECT_EQ(sink.num_reports(SanitizerTool::kBounds), 0u);
 
-  // The divert is invisible: sanitized span == unsanitized span ==
-  // sanitized per-lane, in bits and counters.
-  EXPECT_EQ(span_off.dst_bits, span_on.dst_bits);
-  EXPECT_TRUE(counters_equal(span_off.total, span_on.total))
-      << "sanitized span run perturbed counters";
-  EXPECT_EQ(span_on.dst_bits, lane_on.dst_bits);
-  EXPECT_TRUE(counters_equal(span_on.total, lane_on.total))
-      << "span and per-lane differ under the sanitizer";
+    // Sanitizing is invisible: sanitized == unsanitized == the pinned
+    // per-lane run, in bits and counters.
+    EXPECT_EQ(corpus_pin(off), kCorpusPinSanitized)
+        << "unsanitized run drifted from the per-lane pin";
+    EXPECT_EQ(corpus_pin(on), kCorpusPinSanitized)
+        << "sanitized run drifted from the per-lane pin\n"
+        << on.total.to_string();
+  }
 }
 
 TEST(SanitizerSpan, RacecheckSeesThroughSpanStores) {

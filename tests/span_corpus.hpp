@@ -1,13 +1,16 @@
-// Shared span-vs-per-lane access corpus: one kernel body that issues
-// the same logical warp accesses either through the span descriptors
-// (ldg_span/stg_span/lds_span/sts_span) or through hand-expanded
-// per-lane address arrays.  The engine contract (DESIGN.md §2h) says
-// the two must be bit- and counter-identical — under plain runs, under
-// fault injection (spans self-divert), and under the sanitizer.  Used
-// by engine_threads_test.cpp and sanitizer_test.cpp.
+// Shared span access corpus: one kernel body issuing uniform, affine
+// and segmented warp accesses either as stated span descriptors or
+// expanded into per-lane address arrays issued as one-lane segments,
+// plus golden pins of its output bits and counters.  The pins were
+// recorded from the per-lane expansion run on the separate per-lane
+// ops before those were folded into the span ops (DESIGN.md §2h), so
+// either form drifting from those semantics — on plain runs, under
+// fault injection, or under the sanitizer — fails them.  Used by
+// engine_threads_test.cpp and sanitizer_test.cpp.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "vsparse/fp16/vec.hpp"
@@ -32,9 +35,9 @@ struct SpanCorpusRun {
 /// affine vector load under a prefix mask, a four-segment gather, an
 /// affine smem round-trip plus a stride-0 smem broadcast, an affine
 /// writeback, and a two-segment store with per-segment prefix masks.
-/// With use_span the patterns go through the span ops; without it the
-/// same addresses are expanded into per-lane arrays.
-inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
+/// With `one_lane` the same addresses are expanded into per-lane arrays
+/// and issued as 32 one-lane segments — the divergent form.
+inline SpanCorpusRun run_span_corpus(Device& dev, bool one_lane,
                                      const SimOptions& sim_in) {
   SpanCorpusRun run;
   SimOptions sim = sim_in;
@@ -54,7 +57,7 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
   cfg.grid = kCtas;
   cfg.cta_threads = 32;
   cfg.smem_bytes = 1024;
-  cfg.profile.name = use_span ? "span_corpus" : "lane_corpus";
+  cfg.profile.name = one_lane ? "lane_corpus" : "span_corpus";
 
   run.total = launch(dev, cfg, [&](Cta& cta) {
     const std::size_t base =
@@ -63,19 +66,19 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
 
     // -- uniform: every lane reads the same half (stride 0) ------------
     Lanes<half_t> u{};
-    if (use_span) {
+    if (!one_lane) {
       w.ldg_span(src.addr(base), 0, u);
     } else {
       AddrLanes addr{};
       for (int l = 0; l < 32; ++l) addr[static_cast<std::size_t>(l)] =
           src.addr(base);
-      w.ldg(addr, u);
+      w.ldg_span(addr.data(), 32, 1, 0, u);
     }
 
     // -- affine half2 load, 20-lane prefix mask ------------------------
     const std::uint32_t pmask = (1u << 20) - 1u;
     Lanes<half2> av{};
-    if (use_span) {
+    if (!one_lane) {
       w.ldg_span(src.addr(base + 32), 4, av, pmask);
     } else {
       AddrLanes addr{};
@@ -83,7 +86,7 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
         addr[static_cast<std::size_t>(l)] =
             src.addr(base + 32 + 2 * static_cast<std::size_t>(l));
       }
-      w.ldg(addr, av, pmask);
+      w.ldg_span(addr.data(), 32, 1, 0, av, pmask);
     }
 
     // -- segmented gather: 4 segments x 8 lanes, 16 B stride,
@@ -93,7 +96,7 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
       gbase[seg] = src.addr(base + 128 + 168 * static_cast<std::size_t>(seg));
     }
     Lanes<half8> sv{};
-    if (use_span) {
+    if (!one_lane) {
       w.ldg_span(gbase, 4, 8, 16, sv);
     } else {
       AddrLanes addr{};
@@ -101,35 +104,35 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
         addr[static_cast<std::size_t>(l)] =
             gbase[l / 8] + 16u * static_cast<std::uint32_t>(l % 8);
       }
-      w.ldg(addr, sv);
+      w.ldg_span(addr.data(), 32, 1, 0, sv);
     }
 
     // -- smem round-trip: affine sts/lds + stride-0 broadcast ----------
-    if (use_span) {
+    if (!one_lane) {
       w.sts_span(0, 16, sv);
     } else {
       Lanes<std::uint32_t> off{};
       for (int l = 0; l < 32; ++l) off[static_cast<std::size_t>(l)] =
           16u * static_cast<std::uint32_t>(l);
-      w.sts(off, sv);
+      w.sts_span(off.data(), 32, 1, 0, sv);
     }
     cta.sync();
     Lanes<half8> rv{};
     Lanes<half8> bv{};
-    if (use_span) {
+    if (!one_lane) {
       w.lds_span(0, 16, rv);
       w.lds_span(64, 0, bv);  // uniform smem broadcast
     } else {
       Lanes<std::uint32_t> off{};
       for (int l = 0; l < 32; ++l) off[static_cast<std::size_t>(l)] =
           16u * static_cast<std::uint32_t>(l);
-      w.lds(off, rv);
+      w.lds_span(off.data(), 32, 1, 0, rv);
       Lanes<std::uint32_t> uoff{};
       for (int l = 0; l < 32; ++l) uoff[static_cast<std::size_t>(l)] = 64u;
-      w.lds(uoff, bv);
+      w.lds_span(uoff.data(), 32, 1, 0, bv);
     }
 
-    // -- combine (pure per-lane bit math, identical in both variants) --
+    // -- combine (pure per-lane bit math, identical in both forms) -----
     Lanes<half8> outv{};
     for (int l = 0; l < 32; ++l) {
       for (int e = 0; e < 8; ++e) {
@@ -142,7 +145,7 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
     }
 
     // -- affine writeback ----------------------------------------------
-    if (use_span) {
+    if (!one_lane) {
       w.stg_span(dst.addr(base), 16, outv);
     } else {
       AddrLanes addr{};
@@ -150,13 +153,13 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
         addr[static_cast<std::size_t>(l)] =
             dst.addr(base + 8 * static_cast<std::size_t>(l));
       }
-      w.stg(addr, outv);
+      w.stg_span(addr.data(), 32, 1, 0, outv);
     }
 
     // -- segmented store: 2 segments x 16 lanes, 14-lane prefixes ------
     const std::uint32_t smask = 0x3FFFu | (0x3FFFu << 16);
     std::uint64_t sbase[2] = {dst.addr(base + 512), dst.addr(base + 600)};
-    if (use_span) {
+    if (!one_lane) {
       w.stg_span(sbase, 2, 16, 4, av, smask);
     } else {
       AddrLanes addr{};
@@ -165,12 +168,50 @@ inline SpanCorpusRun run_span_corpus(Device& dev, bool use_span,
         addr[static_cast<std::size_t>(l)] =
             sbase[l / 16] + 4u * static_cast<std::uint32_t>(l % 16);
       }
-      w.stg(addr, av, smask);
+      w.stg_span(addr.data(), 32, 1, 0, av, smask);
     }
   }, sim);
 
   for (half_t h : dst.host()) run.dst_bits.push_back(h.bits());
   return run;
 }
+
+/// FNV-1a over raw bytes: the fingerprint the golden pins compare.
+inline std::uint64_t fnv1a(const void* data, std::size_t bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+
+// KernelStats is all uint64_t counters, so its bytes are its value.
+static_assert(std::has_unique_object_representations_v<KernelStats>);
+
+/// Fingerprint of one corpus run: output bits, merged counters, and the
+/// per-SM counter blocks in SM order.
+struct CorpusPin {
+  std::uint64_t dst_bits;
+  std::uint64_t total;
+  std::uint64_t per_sm;
+  bool operator==(const CorpusPin&) const = default;
+};
+
+inline CorpusPin corpus_pin(const SpanCorpusRun& run) {
+  return {fnv1a(run.dst_bits.data(), run.dst_bits.size() * sizeof(std::uint16_t)),
+          fnv1a(&run.total, sizeof(KernelStats)),
+          fnv1a(run.per_sm.data(), run.per_sm.size() * sizeof(KernelStats))};
+}
+
+/// Golden pins, recorded from the per-lane expansion of the corpus.
+/// 8-SM device (any thread count), fault-free:
+inline constexpr CorpusPin kCorpusPinPlain{
+    0x89661dcfa7fcb4b5ull, 0xd56072c2da71c1a2ull, 0x9049f7c38dbc3b45ull};
+/// 8-SM device, threads=1, sticky DRAM-read upset (bit 3) on byte 80 of
+/// corpus_src — half #40, inside CTA 0's affine prefix:
+inline constexpr CorpusPin kCorpusPinFaulted{
+    0x99f76e2e0329310dull, 0xfc081bfe97dbac03ull, 0xa9089b90a62a3618ull};
+/// 4-SM device, threads=1, with or without the full sanitizer:
+inline constexpr CorpusPin kCorpusPinSanitized{
+    0x89661dcfa7fcb4b5ull, 0xd56072c2da71c1a2ull, 0xd26ac0d0a76e3ec5ull};
 
 }  // namespace vsparse::gpusim

@@ -275,7 +275,7 @@ TEST(Trace, EccEventsAreTraced) {
                 buf.addr(static_cast<std::size_t>(lane));
           }
           Lanes<float> got{};
-          w.ldg(addr, got);
+          w.ldg_span(addr.data(), 32, 1, 0, got);
         },
         SimOptions{.threads = 1, .trace = {.sink = &trace}});
   };
@@ -323,7 +323,7 @@ TEST(Trace, DoubleBitDetectionAbortsAndIsTraced) {
                   buf.addr(static_cast<std::size_t>(lane));
             }
             Lanes<float> got{};
-            w.ldg(addr, got);
+            w.ldg_span(addr.data(), 32, 1, 0, got);
           },
           SimOptions{.threads = 1, .trace = {.sink = &trace}}),
       EccError);

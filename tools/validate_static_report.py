@@ -26,8 +26,7 @@ from vsparse_validate import check, check_schema, errors, is_number, \
 VERSION = "vsparse-static-v1"
 LINT_SCHEMA = "vsparse-lint-v1"
 VERDICTS = {"proved", "refuted", "unknown"}
-LINT_RULES = {"per-lane-span", "slack-dependent-tail", "span-self-divert",
-              "descriptor-invalid"}
+LINT_RULES = {"per-lane-span", "slack-dependent-tail", "descriptor-invalid"}
 # Mirror the loader caps in gpusim/verify/certs.hpp: a store the
 # validator passes must also load in-process.
 MAX_ENTRIES = 65536
