@@ -7,7 +7,7 @@
 //     Lanes<half4> frag;
 //     ...state the warp's address pattern like the CUDA kernel would...
 //     cta.warp(0).ldg_span(base, 8, frag);  // coalescing is *measured*
-//     mma_m8n8k4(cta.warp(0), a, b, acc);   // octet-level tensor core
+//     cta.warp(0).mma_m8n8k4(a, b, acc);    // octet-level tensor core
 //   });
 //
 // CTAs are round-robin assigned to model SMs and each SM's CTA list
@@ -177,19 +177,27 @@ KernelStats run_launch_direct(Device& dev, const LaunchConfig& cfg,
     // list in launch order.  Per-SM state sees the same sequence as
     // the serial path; only the interleaving of accesses to the
     // slice-locked L2 differs.
+    //
+    // A CTA's failure depends only on its own SM's state, so the
+    // lowest failing CTA index is the CTA the serial path stops at:
+    // rethrow that CTA's error, not whichever worker failed first.
     std::mutex error_mu;
     std::exception_ptr first_error;
+    int first_error_cta = cfg.grid;
     ThreadPool::instance().run(threads, [&] {
       for (int sm; (sm = sched.next_sm()) >= 0;) {
         SmContext& ctx = sms[static_cast<std::size_t>(sm)];
+        int cta = sched.first_cta(sm);
         try {
-          for (int cta = sched.first_cta(sm); cta < cfg.grid;
-               cta += sched.cta_stride()) {
+          for (; cta < cfg.grid; cta += sched.cta_stride()) {
             engine_detail::run_cta_direct(ctx, cfg, cta, body);
           }
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
+          if (cta < first_error_cta) {
+            first_error_cta = cta;
+            first_error = std::current_exception();
+          }
         }
       }
     });

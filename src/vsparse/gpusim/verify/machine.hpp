@@ -95,13 +95,6 @@ class CtaModel {
   /// becomes `unknown`.
   void approximate(const char* site, const std::string& why);
 
-  /// Contract-declared lint finding (e.g. an access the contract models
-  /// as exact spans but the kernel executes element-wise).
-  /// Deduplicated by (rule, site) like the model's own findings.
-  void note_lint(const char* rule, const char* site, std::string detail) {
-    lint(rule, site, std::move(detail));
-  }
-
   // ---- global span ops (bases are byte offsets into `buf`) ---------
   void ldg(int buf, const std::vector<Ival>& seg_bases, int width,
            std::int64_t stride, int access, std::uint32_t mask,

@@ -515,12 +515,10 @@ void spmm_blocked_ell(CtaModel& m, const ShapeCorner& s,
 
 namespace {
 
-/// Shared body for hgemm_tcu: the fig05 dense baseline and the SpMM
-/// ladder's dense-decode rung.  `col_major_b` models the transpose
-/// staging path (self-attention's B^T), whose element-wise smem
-/// transpose is the lint pass's canonical per-lane-span finding.
+/// Body for hgemm_tcu: the fig05 dense baseline and the SpMM ladder's
+/// dense-decode rung, both with a row-major B.
 void hgemm_contract(CtaModel& m, const ShapeCorner& s,
-                    const gpusim::DeviceConfig& hw, bool col_major_b) {
+                    const gpusim::DeviceConfig& hw) {
   if (!m.require(s.m % 64 == 0 && s.n % 64 == 0 && s.k % 16 == 0,
                  "hgemm_tcu.shape",
                  "requires M, N % 64 == 0 and K % 16 == 0")) {
@@ -570,37 +568,15 @@ void hgemm_contract(CtaModel& m, const ShapeCorner& s,
               m.ldg(a, gb, 2, 16, 16, 0xFFFFFFFFu, "hgemm_tcu.stage_a");
               m.sts(w, sb, 2, 16, 16, 0xFFFFFFFFu, "hgemm_tcu.stage_a.sts");
             }
-            if (!col_major_b) {
-              // Row-major B: four rows per warp, 8-lane segments.
-              std::vector<Ival> gb;
-              std::vector<std::int64_t> sb;
-              for (int seg = 0; seg < 4; ++seg) {
-                gb.push_back(
-                    Ival((k0 + 4 * w + seg) * s.n * 2 + n0 * 2));
-                sb.push_back(b_off(4 * w + seg, 0));
-              }
-              m.ldg(b, gb, 8, 16, 16, 0xFFFFFFFFu, "hgemm_tcu.stage_b");
-              m.sts(w, sb, 8, 16, 16, 0xFFFFFFFFu, "hgemm_tcu.stage_b.sts");
-            } else {
-              // Column-major B: 16 column segments down the columns,
-              // then an element-wise transpose into smem.  The kernel
-              // issues 8 x 32 scalar STS.16s; each is two 16-lane
-              // affine runs, so the loop is span-expressible.
-              std::vector<Ival> gb;
-              for (int seg = 0; seg < 16; ++seg) {
-                gb.push_back(
-                    Ival((n0 + 16 * w + seg) * s.k * 2 + k0 * 2));
-              }
-              m.ldg(b, gb, 2, 16, 16, 0xFFFFFFFFu, "hgemm_tcu.stage_bt");
-              m.note_lint(
-                  "per-lane-span", "hgemm_tcu.stage_bt.transpose",
-                  "element-wise smem transpose: each of the 8 STS rounds "
-                  "is two 16-lane affine runs (one sts_span)");
-              for (int e = 0; e < 8; ++e) {
-                m.sts(w, {b_off(e, 16 * w), b_off(8 + e, 16 * w)}, 16, 2, 2,
-                      0xFFFFFFFFu, "hgemm_tcu.stage_bt.transpose");
-              }
+            // Row-major B: four rows per warp, 8-lane segments.
+            std::vector<Ival> gb;
+            std::vector<std::int64_t> sb;
+            for (int seg = 0; seg < 4; ++seg) {
+              gb.push_back(Ival((k0 + 4 * w + seg) * s.n * 2 + n0 * 2));
+              sb.push_back(b_off(4 * w + seg, 0));
             }
+            m.ldg(b, gb, 8, 16, 16, 0xFFFFFFFFu, "hgemm_tcu.stage_b");
+            m.sts(w, sb, 8, 16, 16, 0xFFFFFFFFu, "hgemm_tcu.stage_b.sts");
           }
           m.sync();
           for (int w = 0; w < 4; ++w) {
@@ -678,7 +654,7 @@ void hgemm_contract(CtaModel& m, const ShapeCorner& s,
 
 void spmm_dense_gemm(CtaModel& m, const ShapeCorner& s,
                      const gpusim::DeviceConfig& hw) {
-  hgemm_contract(m, s, hw, /*col_major_b=*/false);
+  hgemm_contract(m, s, hw);
 }
 
 // ---- SDDMM ---------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include "vsparse/common/math.hpp"
 #include "vsparse/fp16/vec.hpp"
+#include "vsparse/kernels/sddmm/dot_slice.hpp"
 
 namespace vsparse::kernels {
 
@@ -130,6 +131,12 @@ KernelRun sddmm_octet(gpusim::Device& dev, const DenseDevice<half_t>& a,
         w.ldg_span(gbase, 4, 8, 16, d, msk);
       }
 
+      const DotSlice slice(a_host.data() +
+                               static_cast<std::size_t>(vr * v) *
+                                   static_cast<std::size_t>(a.ld) +
+                               static_cast<std::size_t>(k0),
+                           static_cast<std::size_t>(a.ld), v, kcnt);
+
       // ---- 4 sub-steps of 8 output vectors each --------------------
       for (int ss = 0; ss < 4; ++ss) {
         const int jbase = 8 * ss;
@@ -161,23 +168,12 @@ KernelRun sddmm_octet(gpusim::Device& dev, const DenseDevice<half_t>& a,
         }
         // Functional math (operands were loaded above; values are
         // identical to the fragment contents).
-        for (int j = jbase; j < std::min(jbase + 8, jcnt); ++j) {
-          const std::int32_t col = cols[j];
-          for (int t = 0; t < v; ++t) {
-            float sum = 0.0f;
-            const half_t* arow =
-                &a_host[static_cast<std::size_t>(vr * v + t) *
-                            static_cast<std::size_t>(a.ld) +
-                        static_cast<std::size_t>(k0)];
-            const half_t* bcol =
-                &b_host[static_cast<std::size_t>(col) *
-                            static_cast<std::size_t>(b.ld) +
-                        static_cast<std::size_t>(k0)];
-            for (int kk = 0; kk < kcnt; ++kk) {
-              sum += static_cast<float>(arow[kk]) * static_cast<float>(bcol[kk]);
-            }
-            acc[j][t] += sum;
-          }
+        float sums[8][8];
+        const int ncols = std::min(8, jcnt - jbase);
+        slice.dot(b_host.data() + k0, static_cast<std::size_t>(b.ld),
+                  cols + jbase, ncols, sums);
+        for (int e = 0; e < ncols; ++e) {
+          for (int t = 0; t < v; ++t) acc[jbase + e][t] += sums[e][t];
         }
       }
     }

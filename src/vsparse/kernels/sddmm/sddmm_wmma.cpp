@@ -5,6 +5,7 @@
 
 #include "vsparse/common/math.hpp"
 #include "vsparse/fp16/vec.hpp"
+#include "vsparse/kernels/sddmm/dot_slice.hpp"
 
 namespace vsparse::kernels {
 
@@ -140,20 +141,18 @@ KernelRun sddmm_wmma_warp(gpusim::Device& dev, const DenseDevice<half_t>& a,
       // ---- 4 zero-padded wmma.m8n32k16 per K stride ------------------
       // Executed regardless of jcnt (the §6.2 residue overhead).
       w.count(Op::kHmma, 64);
-      for (int j = 0; j < jcnt; ++j) {
-        const std::int32_t col = cols[j];
-        for (int t = 0; t < v; ++t) {
-          float sum = 0.0f;
-          const half_t* arow = &a_host[static_cast<std::size_t>(vr * v + t) *
-                                           static_cast<std::size_t>(a.ld) +
-                                       static_cast<std::size_t>(k0)];
-          const half_t* bcol = &b_host[static_cast<std::size_t>(col) *
-                                           static_cast<std::size_t>(b.ld) +
-                                       static_cast<std::size_t>(k0)];
-          for (int kk = 0; kk < kcnt; ++kk) {
-            sum += static_cast<float>(arow[kk]) * static_cast<float>(bcol[kk]);
-          }
-          acc[j][t] += sum;
+      const DotSlice slice(a_host.data() +
+                               static_cast<std::size_t>(vr * v) *
+                                   static_cast<std::size_t>(a.ld) +
+                               static_cast<std::size_t>(k0),
+                           static_cast<std::size_t>(a.ld), v, kcnt);
+      for (int jbase = 0; jbase < jcnt; jbase += 8) {
+        float sums[8][8];
+        const int ncols = std::min(8, jcnt - jbase);
+        slice.dot(b_host.data() + k0, static_cast<std::size_t>(b.ld),
+                  cols + jbase, ncols, sums);
+        for (int e = 0; e < ncols; ++e) {
+          for (int t = 0; t < v; ++t) acc[jbase + e][t] += sums[e][t];
         }
       }
     }

@@ -145,7 +145,7 @@ KernelRun spmm_wmma_warp(gpusim::Device& dev, const CvsDevice& a,
         for (int r = 0; r < 8; ++r) {
           for (int nn = 0; nn < 32; ++nn) csub[r][nn] = acc[r][32 * ct + nn];
         }
-        gpusim::wmma_m8n32k16(w, afrag, bsub, csub);
+        w.wmma_m8n32k16(afrag, bsub, csub);
         for (int r = 0; r < 8; ++r) {
           for (int nn = 0; nn < 32; ++nn) acc[r][32 * ct + nn] = csub[r][nn];
         }

@@ -7,8 +7,12 @@
 // propagation out of worker threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "vsparse/common/rng.hpp"
@@ -203,6 +207,74 @@ TEST(EngineThreadSweep, WorkerExceptionsPropagate) {
   gpusim::KernelStats stats = gpusim::launch(
       dev, cfg, [](gpusim::Cta&) {}, gpusim::SimOptions{.threads = 8});
   EXPECT_EQ(stats.ctas_launched, 16u);
+}
+
+struct LaunchFailure {
+  ErrorCode code;
+  std::string site;
+  std::string what;
+};
+
+/// One 16-CTA launch on 8 SMs (CTA c runs on SM c % 8) in which CTA
+/// `ecc_cta` reads a word with a double-bit upset under ECC and CTA
+/// `watchdog_cta` overruns its op budget.  The lower of the two sleeps
+/// first, so under threads > 1 the other one fails first in wall time.
+LaunchFailure run_two_failures(int threads, int ecc_cta, int watchdog_cta) {
+  gpusim::Device dev(test_config());
+  auto buf = dev.alloc<std::int32_t>(32);
+  gpusim::FaultPlan plan(/*seed=*/1, /*ecc_enabled=*/true);
+  gpusim::FaultTarget t;
+  t.site = gpusim::FaultSite::kDramRead;
+  t.addr = buf.addr(0);
+  t.n_bits = 2;
+  plan.add_target(t);
+  dev.set_fault_plan(&plan);
+  gpusim::LaunchConfig cfg;
+  cfg.grid = 16;
+  cfg.cta_threads = 32;
+  const int first = std::min(ecc_cta, watchdog_cta);
+  try {
+    gpusim::launch(
+        dev, cfg,
+        [&](gpusim::Cta& cta) {
+          gpusim::Warp w = cta.warp(0);
+          if (cta.cta_id() == first) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          if (cta.cta_id() == ecc_cta) {
+            gpusim::Lanes<std::int32_t> d{};
+            w.ldg_span(buf.addr(0), 4, d, 0x1u);
+          }
+          if (cta.cta_id() == watchdog_cta) w.count(gpusim::Op::kImad, 1000);
+        },
+        gpusim::SimOptions{.threads = threads, .watchdog_cta_ops = 100});
+  } catch (const Error& e) {
+    return {e.code(), e.site(), e.what()};
+  }
+  ADD_FAILURE() << "launch did not fail at threads=" << threads;
+  return {};
+}
+
+TEST(EngineThreadSweep, AbortedLaunchReportsLowestFailingCta) {
+  // ECC on SM 3, watchdog on SM 5: the serial engine stops at CTA 3.
+  const LaunchFailure ecc = run_two_failures(1, /*ecc_cta=*/3, 5);
+  EXPECT_EQ(ecc.code, ErrorCode::kEccUncorrectable);
+  // Watchdog on SM 2, ECC on SM 5: it stops at CTA 2.  The timeout
+  // message appends per-SM progress, which differs once other SMs run
+  // on, so only its first line is compared.
+  const auto head = [](const std::string& s) { return s.substr(0, s.find('\n')); };
+  const LaunchFailure timeout = run_two_failures(1, /*ecc_cta=*/5, 2);
+  EXPECT_EQ(timeout.code, ErrorCode::kLaunchTimeout);
+  for (int threads : {2, 8}) {
+    const LaunchFailure e = run_two_failures(threads, 3, 5);
+    EXPECT_EQ(e.code, ecc.code) << "threads=" << threads;
+    EXPECT_EQ(e.site, ecc.site) << "threads=" << threads;
+    EXPECT_EQ(e.what, ecc.what) << "threads=" << threads;
+    const LaunchFailure w = run_two_failures(threads, 5, 2);
+    EXPECT_EQ(w.code, timeout.code) << "threads=" << threads;
+    EXPECT_EQ(w.site, timeout.site) << "threads=" << threads;
+    EXPECT_EQ(head(w.what), head(timeout.what)) << "threads=" << threads;
+  }
 }
 
 TEST(Scheduler, RoundRobinMatchesHistoricalAssignment) {

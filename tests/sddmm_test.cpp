@@ -3,6 +3,11 @@
 // (§6.1), classic WMMA warp tiling (§6.2), and fine-grained CSR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/reference.hpp"
@@ -210,6 +215,89 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SddmmWmmaSweep,
     ::testing::Combine(::testing::Values(2, 4, 8),
                        ::testing::Values(0.0, 0.5, 0.9)));
+
+// The tensor-core kernels' fp32 math on non-integer data, where the
+// order of the adds shows in the bits: per 64-wide K stride a fresh sum
+// of products in K order, folded into the accumulator, then scaled by
+// the mask value and rounded once.
+std::vector<std::uint16_t> scalar_fold_bits(const SddmmProblem& p) {
+  const Cvs& mask = p.mask;
+  const int v = mask.v, k = p.a.cols();
+  std::vector<std::uint16_t> bits(mask.values.size());
+  for (int vr = 0; vr < mask.vec_rows(); ++vr) {
+    for (std::int32_t j = mask.row_ptr[static_cast<std::size_t>(vr)];
+         j < mask.row_ptr[static_cast<std::size_t>(vr) + 1]; ++j) {
+      const int col = mask.col_idx[static_cast<std::size_t>(j)];
+      for (int t = 0; t < v; ++t) {
+        float acc = 0.0f;
+        for (int k0 = 0; k0 < k; k0 += 64) {
+          float sum = 0.0f;
+          for (int kk = k0; kk < std::min(k, k0 + 64); ++kk) {
+            sum += static_cast<float>(p.a.at(vr * v + t, kk)) *
+                   static_cast<float>(p.b.at(kk, col));
+          }
+          acc += sum;
+        }
+        const std::size_t i = static_cast<std::size_t>(j) *
+                                  static_cast<std::size_t>(v) +
+                              static_cast<std::size_t>(t);
+        bits[i] = half_t(acc * static_cast<float>(mask.values[i])).bits();
+      }
+    }
+  }
+  return bits;
+}
+
+TEST(SddmmTensorCore, BitsMatchScalarFoldOnFractionalData) {
+  for (int k : {8, 40, 64, 72, 100, 200}) {
+    for (int v : {2, 4, 8}) {
+      SCOPED_TRACE("K=" + std::to_string(k) + " V=" + std::to_string(v));
+      Rng rng(static_cast<std::uint64_t>(9000 + 10 * k + v));
+      SddmmProblem p{DenseMatrix<half_t>(16, k),
+                     DenseMatrix<half_t>(k, 90, Layout::kColMajor),
+                     make_cvs_mask(16, 90, v, 0.4, rng), {}};
+      p.a.fill_random(rng, -4.0f, 4.0f);
+      p.b.fill_random(rng, -4.0f, 4.0f);
+      for (half_t& h : p.mask.values) h = half_t(rng.uniform_float(-2, 2));
+      // Rows spanning two 32-vector tiles, some ending mid sub-step.
+      bool ragged = false;
+      for (std::size_t r = 0; r + 1 < p.mask.row_ptr.size(); ++r) {
+        ragged |= (p.mask.row_ptr[r + 1] - p.mask.row_ptr[r]) % 8 != 0;
+      }
+      ASSERT_TRUE(ragged);
+      const std::vector<std::uint16_t> want = scalar_fold_bits(p);
+
+      const auto run = [&](auto&& launch) {
+        gpusim::Device dev(test_config());
+        auto da = to_device(dev, p.a);
+        auto db = to_device(dev, p.b);
+        auto dmask = to_device(dev, p.mask);
+        auto out = dev.alloc<half_t>(p.mask.values.size());
+        launch(dev, da, db, dmask, out);
+        std::vector<std::uint16_t> got;
+        for (half_t h : out.host()) got.push_back(h.bits());
+        return got;
+      };
+      const std::vector<std::uint16_t> wmma =
+          run([](auto& dev, auto& da, auto& db, auto& dmask, auto& out) {
+            sddmm_wmma_warp(dev, da, db, dmask, out);
+          });
+      EXPECT_EQ(wmma, want) << "sddmm_wmma_warp";
+      for (InvertedPatternMode mode : {InvertedPatternMode::kExtraRegisters,
+                                       InvertedPatternMode::kShuffle,
+                                       InvertedPatternMode::kArchSwitch}) {
+        const std::vector<std::uint16_t> octet =
+            run([&](auto& dev, auto& da, auto& db, auto& dmask, auto& out) {
+              sddmm_octet(dev, da, db, dmask, out,
+                          SddmmOctetParams{.mode = mode});
+            });
+        EXPECT_EQ(octet, want) << "sddmm_octet mode " << static_cast<int>(mode);
+        // The serving ladder falls back octet -> wmma and byte-compares.
+        EXPECT_EQ(octet, wmma) << "sddmm_octet mode " << static_cast<int>(mode);
+      }
+    }
+  }
+}
 
 TEST(SddmmCsrFine, HalfAndSingleMatchReference) {
   SddmmProblem p = make_problem(16, 64, 64, 1, 0.8, 6000);
